@@ -26,7 +26,7 @@
 //!    "how far from the theoretical floor we stopped".
 //!
 //! Determinism contract, like every study here: the report and snapshot
-//! are byte-identical for every `--shards × --threads × --agenda`. The
+//! are byte-identical for every `--shards × --threads`. The
 //! record pass fixes its own shard count (the region count); a flagship
 //! pass re-runs the first preset at the caller's knobs and asserts the
 //! lifted records are identical bytes.
@@ -163,8 +163,8 @@ pub struct DistributionPreset {
     pub cells: Vec<PolicyCell>,
 }
 
-/// The whole study. Byte-identical for every `--shards`, `--threads`
-/// and `--agenda` the invocation used.
+/// The whole study. Byte-identical for every `--shards` and `--threads`
+/// the invocation used.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DistributionReport {
     /// The configuration that produced this report.
@@ -197,13 +197,13 @@ impl TraceSink for RecordFold<'_> {
 }
 
 /// Run one preset's scenario stream through the simulator and lift the
-/// session records, at the given shard/thread/agenda knobs.
+/// session records, at the given shard/thread knobs.
 fn lift_records(
     cfg: &DistributionStudyConfig,
     scenario: &MetroScenario,
-    knobs: (usize, usize, sb_sim::AgendaKind),
+    knobs: (usize, usize),
 ) -> Result<(Vec<SessionRecord>, usize, u64, Snapshot)> {
-    let (shards, threads, agenda) = knobs;
+    let (shards, threads) = knobs;
     let titles = scenario.titles();
     let sys = SystemConfig {
         num_videos: titles,
@@ -240,7 +240,6 @@ fn lift_records(
             RunConfig::new(&sim_reqs)
                 .shards(shards)
                 .threads(threads)
-                .agenda(agenda)
                 .partition(&map)
                 .sink(&mut fold),
         )
@@ -319,7 +318,7 @@ fn preset_cells(
 /// Run the study. Presets run in parallel on `runner`; each record pass
 /// fixes its shard count to the region count, and a flagship pass
 /// re-lifts the first preset's records at `flagship_shards` with the
-/// runner's thread pool and agenda, asserting identical bytes.
+/// runner's thread pool, asserting identical bytes.
 ///
 /// # Errors
 /// Returns a planning error when `per_video_mbps` cannot sustain the
@@ -349,7 +348,7 @@ pub fn distribution_study(
     let cells: Vec<(DistributionPreset, Vec<SessionRecord>)> =
         runner.timed_map("distribution-presets", &scenarios, |scenario| {
             let regions = scenario.regions.len();
-            let (records, _, _, _) = lift_records(cfg, scenario, (regions, 1, runner.agenda()))
+            let (records, _, _, _) = lift_records(cfg, scenario, (regions, 1))
                 .expect("plans validated before the parallel pass");
             let preset = preset_cells(cfg, scenario, &records);
             (preset, records)
@@ -357,11 +356,8 @@ pub fn distribution_study(
 
     // Flagship pass: the first preset again, at the caller's knobs. The
     // lifted records — not just an aggregate — must match bytes.
-    let (flag_records, flag_sessions, flag_fired, snapshot) = lift_records(
-        cfg,
-        &scenarios[0],
-        (flagship_shards, runner.threads(), runner.agenda()),
-    )?;
+    let (flag_records, flag_sessions, flag_fired, snapshot) =
+        lift_records(cfg, &scenarios[0], (flagship_shards, runner.threads()))?;
     assert_eq!(
         cells[0].1, flag_records,
         "the flagship pass lifted different session records than its region-sharded \
@@ -435,7 +431,6 @@ pub fn render_distribution(report: &DistributionReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_sim::AgendaKind;
 
     /// Unit-test scale: the record pass is the expensive part in debug
     /// builds, so tests shrink the stream; `smoke()` stays the
@@ -517,10 +512,8 @@ mod tests {
             ..tiny()
         };
         let (base, base_snap) = distribution_study(&cfg, 1, &Runner::serial()).unwrap();
-        for (shards, threads, agenda) in [(2, 4, AgendaKind::Heap), (4, 2, AgendaKind::Wheel)] {
-            let (r, s) =
-                distribution_study(&cfg, shards, &Runner::new(threads).with_agenda(agenda))
-                    .unwrap();
+        for (shards, threads) in [(2, 4), (4, 2)] {
+            let (r, s) = distribution_study(&cfg, shards, &Runner::new(threads)).unwrap();
             assert_eq!(r, base, "flagship shards {shards}, threads {threads}");
             assert_eq!(s, base_snap);
             assert_eq!(

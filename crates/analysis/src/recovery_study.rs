@@ -20,7 +20,7 @@
 //!
 //! Cells run in parallel on the [`Runner`]; results are assembled in
 //! grid order, so `BENCH_recovery.json` is byte-identical for every
-//! `--threads` and `--agenda` choice.
+//! `--threads` choice.
 
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbps, Minutes};
@@ -126,8 +126,8 @@ pub struct RecoveryRow {
     pub identical: bool,
 }
 
-/// The whole study. Byte-identical for every thread count and agenda
-/// backend (the determinism gate in `scripts/verify.sh` diffs it).
+/// The whole study. Byte-identical for every thread count (the
+/// determinism gate in `scripts/verify.sh` diffs it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// The configuration that produced this report.
@@ -188,12 +188,7 @@ pub fn recovery_study(cfg: &RecoveryConfig, runner: &Runner) -> Result<RecoveryR
 
     let sim = SystemSim::new(&plan, sys.display_rate, ClientPolicy::LatestFeasible);
     let baseline = sim
-        .execute(
-            RunConfig::new(&requests)
-                .shards(cfg.shards)
-                .seed(cfg.seed)
-                .agenda(runner.agenda()),
-        )
+        .execute(RunConfig::new(&requests).shards(cfg.shards).seed(cfg.seed))
         .expect("the grid run has no faults to reject");
     let baseline_bytes = outcome_bytes(&baseline);
 
@@ -205,7 +200,6 @@ pub fn recovery_study(cfg: &RecoveryConfig, runner: &Runner) -> Result<RecoveryR
             shards: cfg.shards,
             threads: 1, // the runner parallelizes across cells
             seed: cfg.seed,
-            agenda: runner.agenda(),
             partition: None,
         };
         let recovered = supervisor
@@ -310,13 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn report_is_invariant_to_threads_and_agenda() {
+    fn report_is_invariant_to_threads() {
         let cfg = RecoveryConfig::smoke();
         let base = recovery_study(&cfg, &Runner::serial()).unwrap();
         for threads in [2usize, 4] {
-            let runner = Runner::new(threads).with_agenda(sb_sim::AgendaKind::Wheel);
-            let r = recovery_study(&cfg, &runner).unwrap();
-            assert_eq!(r, base, "threads {threads} under the wheel agenda");
+            let r = recovery_study(&cfg, &Runner::new(threads)).unwrap();
+            assert_eq!(r, base, "threads {threads}");
             assert_eq!(
                 serde_json::to_string(&r).unwrap(),
                 serde_json::to_string(&base).unwrap()

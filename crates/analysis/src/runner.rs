@@ -28,7 +28,6 @@ use crate::lineup::SchemeId;
 use crate::sweep::{evaluate, SweepRow};
 use sb_core::config::SystemConfig;
 use sb_metrics::{Registry, Snapshot};
-use sb_sim::AgendaKind;
 
 /// A named evaluation grid: which schemes, at which bandwidths, under
 /// which workload seed.
@@ -144,7 +143,6 @@ impl RunManifest {
 pub struct Runner {
     threads: usize,
     progress: bool,
-    agenda: AgendaKind,
     timings: Mutex<Vec<StageTiming>>,
 }
 
@@ -160,7 +158,6 @@ impl Runner {
         Self {
             threads,
             progress: false,
-            agenda: AgendaKind::Heap,
             timings: Mutex::new(Vec::new()),
         }
     }
@@ -178,26 +175,10 @@ impl Runner {
         self
     }
 
-    /// Select the engine event-store backend for every simulation this
-    /// runner drives (default [`AgendaKind::Heap`]). Purely an execution
-    /// knob: studies pass it through to [`sb_sim::RunConfig::agenda`], and
-    /// heap and wheel runs serialize to identical bytes.
-    #[must_use]
-    pub fn with_agenda(mut self, agenda: AgendaKind) -> Self {
-        self.agenda = agenda;
-        self
-    }
-
     /// The configured worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured engine backend.
-    #[must_use]
-    pub fn agenda(&self) -> AgendaKind {
-        self.agenda
     }
 
     /// Map `f` over `items`, preserving order. With one thread (or one
@@ -271,8 +252,8 @@ impl Runner {
 }
 
 /// Execute the analytic half of `exp`: one [`SweepRow`] per bandwidth,
-/// bandwidths in parallel. Identical to the serial
-/// [`crate::sweep::sweep_bandwidth`] loop for every thread count.
+/// bandwidths in parallel. Identical to the serial loop
+/// (`Runner::serial()`) for every thread count.
 #[must_use]
 pub fn run_sweep(exp: &Experiment, runner: &Runner) -> Vec<SweepRow> {
     runner.timed_map(&exp.name, &exp.bandwidths, |&b| {
@@ -402,8 +383,7 @@ pub fn run_experiment_instrumented(
 mod tests {
     use super::*;
     use crate::lineup::{extended_lineup, paper_lineup};
-    #[allow(deprecated)]
-    use crate::sweep::sweep_bandwidth;
+    use crate::sweep::sweep_bandwidth_with;
 
     #[test]
     fn map_matches_serial_for_any_thread_count() {
@@ -423,19 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn agenda_defaults_to_heap_and_is_settable() {
-        assert_eq!(Runner::serial().agenda(), AgendaKind::Heap);
-        let r = Runner::new(2).with_agenda(AgendaKind::Wheel);
-        assert_eq!(r.agenda(), AgendaKind::Wheel);
-    }
-
-    #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let exp = Experiment::over_range("t", paper_lineup(), 100.0, 600.0, 50.0);
-        // The deprecated serial helper stays the reference point here:
-        // the parity it pins is exactly why it could be deprecated.
-        #[allow(deprecated)]
-        let serial = sweep_bandwidth(&exp.schemes, 100.0, 600.0, 50.0);
+        let serial = sweep_bandwidth_with(&exp.schemes, 100.0, 600.0, 50.0, &Runner::serial());
         let par = run_sweep(&exp, &Runner::new(8));
         assert_eq!(par, serial);
         let a = serde_json::to_string(&par).unwrap();

@@ -119,8 +119,8 @@ impl StudyOpts {
 }
 
 /// Everything a [`Study`] receives from its caller: the flag map plus
-/// the execution knobs the common `--threads` / `--shards` / `--seed` /
-/// `--agenda` parser already validated.
+/// the execution knobs the common `--threads` / `--shards` / `--seed`
+/// parser already validated.
 pub struct StudyCtx<'a> {
     /// Study-specific flags (never the execution knobs).
     pub opts: &'a StudyOpts,
@@ -128,7 +128,7 @@ pub struct StudyCtx<'a> {
     pub shards: usize,
     /// `--seed`, when given; each study applies its own default.
     pub seed: Option<u64>,
-    /// The worker pool, already driving the requested agenda backend.
+    /// The worker pool, already sized to the requested thread count.
     pub runner: &'a Runner,
 }
 

@@ -134,20 +134,7 @@ pub fn evaluate(id: SchemeId, cfg: &SystemConfig) -> Option<SchemePoint> {
 }
 
 /// Sweep the lineup across `[from, to]` in steps of `step` Mb/s, with the
-/// paper's M/D/b defaults.
-///
-/// # Panics
-/// Panics on a degenerate range or step.
-#[deprecated(
-    note = "pre-`execute(RunConfig)` serial helper — use `sweep_bandwidth_with` with an \
-            explicit `Runner`, or build an `Experiment` and call `runner::run_sweep`"
-)]
-#[must_use]
-pub fn sweep_bandwidth(ids: &[SchemeId], from: f64, to: f64, step: f64) -> Vec<SweepRow> {
-    sweep_bandwidth_with(ids, from, to, step, &Runner::serial())
-}
-
-/// [`sweep_bandwidth`] on an explicit [`Runner`] — bandwidths evaluated in
+/// paper's M/D/b defaults, on `runner` — bandwidths evaluated in
 /// parallel, output identical to the serial path.
 ///
 /// # Panics
@@ -164,17 +151,7 @@ pub fn sweep_bandwidth_with(
     run_sweep(&exp, runner)
 }
 
-/// The paper's sweep: 100–600 Mb/s in 20 Mb/s steps.
-#[deprecated(
-    note = "pre-`execute(RunConfig)` serial helper — use `paper_sweep_with` with an \
-            explicit `Runner`"
-)]
-#[must_use]
-pub fn paper_sweep(ids: &[SchemeId]) -> Vec<SweepRow> {
-    sweep_bandwidth_with(ids, 100.0, 600.0, 20.0, &Runner::serial())
-}
-
-/// [`paper_sweep`] on an explicit [`Runner`].
+/// The paper's sweep: 100–600 Mb/s in 20 Mb/s steps, on `runner`.
 #[must_use]
 pub fn paper_sweep_with(ids: &[SchemeId], runner: &Runner) -> Vec<SweepRow> {
     sweep_bandwidth_with(ids, 100.0, 600.0, 20.0, runner)

@@ -67,8 +67,8 @@ fn bench_buffer_profile(c: &mut Criterion) {
     });
 }
 
-/// The heap-vs-wheel comparison the `--agenda` flag exposes: the same
-/// 100k-event self-scheduling cascade on each backend. Fire order (and
+/// The engine's two event stores side by side: the same 100k-event
+/// self-scheduling cascade on each backend. Fire order (and
 /// so `fired`) is bitwise identical; only the per-operation cost of the
 /// event store differs.
 fn bench_engine_throughput(c: &mut Criterion) {

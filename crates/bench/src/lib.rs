@@ -10,20 +10,16 @@
 //! per-stage wall-clock timings — as JSON. The Criterion benches live in
 //! `benches/`.
 //!
-//! The study benchmarks (`throughput_bench`, `scale_bench`,
-//! `scenario_bench`, `recovery_bench`, `frontier_bench`,
-//! `distribution_bench`) dispatch through [`sb_analysis::study::find`] —
-//! the same registry the `sbcast` subcommands run on — and only add the
-//! wall-clock instrumentation: timed passes on stderr plus the
-//! nondeterministic [`WallclockReport`] artifact.
+//! The studies (`throughput`, `scale`, `scenario`, `recovery`,
+//! `frontier`, `distribution`, …) run as `sbcast <study>`; end-to-end
+//! and per-layer timing lives in the separate `perfbench/` package that
+//! `BENCHMARK.json` declares.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
 use sb_analysis::runner::Runner;
-use sb_sim::AgendaKind;
-use serde::{Deserialize, Serialize};
 
 /// Parsed command line shared by every figure binary.
 #[derive(Debug, Default)]
@@ -36,17 +32,6 @@ pub struct Args {
     pub manifest: Option<PathBuf>,
     /// `--progress`: live per-stage counters on stderr.
     pub progress: bool,
-    /// `--shards <n>`: shard count for scale-out binaries (default 1).
-    /// Results are byte-identical for every value; only wall-clock and
-    /// per-shard footprints (stderr) change.
-    pub shards: usize,
-    /// `--agenda heap|wheel`: engine event-store backend (default heap).
-    /// Results are byte-identical for either; only wall-clock changes.
-    pub agenda: AgendaKind,
-    /// `--sessions <n>`: session-count override for binaries that size
-    /// their own workload (`scale_bench`); `None` keeps the binary's
-    /// default.
-    pub sessions: Option<usize>,
 }
 
 impl Args {
@@ -64,7 +49,6 @@ impl Args {
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut out = Args {
             threads: 1,
-            shards: 1,
             ..Args::default()
         };
         let mut it = args.into_iter();
@@ -82,25 +66,10 @@ impl Args {
                     let path = it.next().expect("--manifest requires a path");
                     out.manifest = Some(PathBuf::from(path));
                 }
-                "--shards" => {
-                    let n = it.next().expect("--shards requires a count");
-                    out.shards = n.parse().expect("--shards: not an integer");
-                    assert!(out.shards >= 1, "--shards must be at least 1");
-                }
-                "--agenda" => {
-                    let kind = it.next().expect("--agenda requires heap|wheel");
-                    out.agenda = AgendaKind::parse(&kind)
-                        .unwrap_or_else(|| panic!("--agenda: expected heap|wheel, got `{kind}`"));
-                }
-                "--sessions" => {
-                    let n = it.next().expect("--sessions requires a count");
-                    out.sessions = Some(n.parse().expect("--sessions: not an integer"));
-                }
                 "--progress" => out.progress = true,
                 other => panic!(
                     "unknown argument `{other}` (supported: --json <path> --threads <n> \
-                     --shards <n> --agenda heap|wheel --sessions <n> --manifest <path> \
-                     --progress)"
+                     --manifest <path> --progress)"
                 ),
             }
         }
@@ -110,25 +79,13 @@ impl Args {
     /// The [`Runner`] this invocation asked for.
     #[must_use]
     pub fn runner(&self) -> Runner {
-        Runner::new(self.threads)
-            .with_progress(self.progress)
-            .with_agenda(self.agenda)
+        Runner::new(self.threads).with_progress(self.progress)
     }
 
     /// Write `value` as pretty JSON if `--json` was given.
     pub fn maybe_write_json<T: serde::Serialize>(&self, value: &T) {
         if let Some(path) = &self.json {
             let json = serde_json::to_string_pretty(value).expect("serializable artifact");
-            std::fs::write(path, json).expect("writable --json path");
-            eprintln!("wrote {}", path.display());
-        }
-    }
-
-    /// Write pre-serialized pretty JSON — a [`sb_analysis::StudyOutput`]'s
-    /// `report_json` — if `--json` was given. Byte-for-byte what
-    /// [`Args::maybe_write_json`] would produce from the report value.
-    pub fn maybe_write_json_str(&self, json: &str) {
-        if let Some(path) = &self.json {
             std::fs::write(path, json).expect("writable --json path");
             eprintln!("wrote {}", path.display());
         }
@@ -145,102 +102,6 @@ impl Args {
             std::fs::write(path, json).expect("writable --manifest path");
             eprintln!("wrote {}", path.display());
         }
-    }
-}
-
-/// One timed pass of a wall-clock benchmark on one engine backend.
-///
-/// Everything here is *nondeterministic by design* — wall seconds vary
-/// run to run and machine to machine — which is why these records go to
-/// [`WallclockReport`]'s own artifact (`BENCH_wallclock.json`) and never
-/// into the deterministic study JSON that `scripts/verify.sh` diffs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallclockRun {
-    /// Backend name (`heap` or `wheel`).
-    pub backend: String,
-    /// Sessions streamed through the simulator in this pass.
-    pub sessions: usize,
-    /// Engine events fired in this pass.
-    pub events: u64,
-    /// Wall-clock seconds the pass took.
-    pub wall_secs: f64,
-    /// `sessions / wall_secs`.
-    pub sessions_per_sec: f64,
-    /// `events / wall_secs`.
-    pub events_per_sec: f64,
-}
-
-impl WallclockRun {
-    /// Build a run record from raw counts and a measured duration.
-    #[must_use]
-    pub fn new(backend: AgendaKind, sessions: usize, events: u64, wall_secs: f64) -> Self {
-        let secs = wall_secs.max(1e-9);
-        Self {
-            backend: backend.name().to_string(),
-            sessions,
-            events,
-            wall_secs,
-            sessions_per_sec: sessions as f64 / secs,
-            events_per_sec: events as f64 / secs,
-        }
-    }
-}
-
-/// The committed wall-clock perf trajectory: per-backend throughput of
-/// one benchmark binary, plus the wheel-over-heap speedup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallclockReport {
-    /// Which binary produced this (`throughput_bench`, `scale_bench`).
-    pub benchmark: String,
-    /// One record per timed pass, in execution order.
-    pub runs: Vec<WallclockRun>,
-    /// Wheel sessions/sec over heap sessions/sec (1.0 when either side
-    /// is missing). Indicative only — single-run timings are noisy.
-    pub wheel_speedup: f64,
-}
-
-impl WallclockReport {
-    /// Assemble a report, deriving the speedup from the best pass of
-    /// each backend.
-    #[must_use]
-    pub fn new(benchmark: &str, runs: Vec<WallclockRun>) -> Self {
-        let best = |name: &str| {
-            runs.iter()
-                .filter(|r| r.backend == name)
-                .map(|r| r.sessions_per_sec)
-                .fold(f64::NAN, f64::max)
-        };
-        let (heap, wheel) = (best("heap"), best("wheel"));
-        let wheel_speedup = if heap.is_finite() && wheel.is_finite() && heap > 0.0 {
-            wheel / heap
-        } else {
-            1.0
-        };
-        Self {
-            benchmark: benchmark.to_string(),
-            runs,
-            wheel_speedup,
-        }
-    }
-
-    /// Write the report next to `sibling` (or into the working directory
-    /// when the run wrote no deterministic artifact) as
-    /// `BENCH_wallclock.json`.
-    ///
-    /// # Panics
-    /// Panics when the path is not writable — wall-clock evidence is a
-    /// deliverable here, not a best-effort extra.
-    pub fn write_beside(&self, sibling: Option<&std::path::Path>) {
-        let dir = sibling
-            .and_then(std::path::Path::parent)
-            .unwrap_or_else(|| std::path::Path::new("."));
-        let path = dir.join("BENCH_wallclock.json");
-        let json = serde_json::to_string_pretty(self).expect("serializable wallclock report");
-        std::fs::write(&path, json).expect("writable BENCH_wallclock.json path");
-        eprintln!(
-            "wrote {} (nondeterministic; excluded from diffs)",
-            path.display()
-        );
     }
 }
 
@@ -279,76 +140,5 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn rejects_unknown_flags() {
         let _ = Args::parse_from(["--bogus".to_string()]);
-    }
-
-    #[test]
-    fn parses_shards_and_defaults_to_one() {
-        let a = Args::parse_from(["--shards", "4"].map(str::to_string));
-        assert_eq!(a.shards, 4);
-        assert_eq!(Args::parse_from(std::iter::empty()).shards, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "--shards must be at least 1")]
-    fn rejects_zero_shards() {
-        let _ = Args::parse_from(["--shards", "0"].map(str::to_string));
-    }
-
-    #[test]
-    fn parses_agenda_and_sessions() {
-        let a = Args::parse_from(["--agenda", "wheel", "--sessions", "500000"].map(str::to_string));
-        assert_eq!(a.agenda, AgendaKind::Wheel);
-        assert_eq!(a.sessions, Some(500_000));
-        assert_eq!(a.runner().agenda(), AgendaKind::Wheel);
-        let d = Args::parse_from(std::iter::empty());
-        assert_eq!(d.agenda, AgendaKind::Heap);
-        assert_eq!(d.sessions, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected heap|wheel")]
-    fn rejects_unknown_agenda() {
-        let _ = Args::parse_from(["--agenda", "btree"].map(str::to_string));
-    }
-
-    #[test]
-    fn wallclock_report_derives_speedup_from_best_passes() {
-        let runs = vec![
-            WallclockRun::new(AgendaKind::Heap, 100, 1000, 2.0),
-            WallclockRun::new(AgendaKind::Heap, 100, 1000, 4.0),
-            WallclockRun::new(AgendaKind::Wheel, 100, 1000, 1.0),
-        ];
-        let report = WallclockReport::new("t", runs);
-        assert!(
-            (report.wheel_speedup - 2.0).abs() < 1e-12,
-            "best heap 50/s, wheel 100/s"
-        );
-        assert_eq!(report.runs.len(), 3);
-        assert!((report.runs[0].sessions_per_sec - 50.0).abs() < 1e-12);
-        // One-sided reports fall back to a neutral speedup.
-        let only_heap =
-            WallclockReport::new("t", vec![WallclockRun::new(AgendaKind::Heap, 1, 1, 1.0)]);
-        assert!((only_heap.wheel_speedup - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wallclock_report_round_trips_through_json() {
-        let report = WallclockReport::new(
-            "scale_bench",
-            vec![WallclockRun::new(AgendaKind::Wheel, 42, 420, 0.5)],
-        );
-        let json = serde_json::to_string(&report).unwrap();
-        for field in [
-            "backend",
-            "sessions",
-            "events",
-            "wall_secs",
-            "sessions_per_sec",
-            "wheel_speedup",
-        ] {
-            assert!(json.contains(field), "missing `{field}` in {json}");
-        }
-        let back: WallclockReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
     }
 }

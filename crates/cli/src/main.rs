@@ -61,7 +61,6 @@ use sb_core::config::SystemConfig;
 use sb_core::plan::VideoId;
 use sb_core::series::Width;
 use sb_sim::policy::schedule_client;
-use sb_sim::AgendaKind;
 use sb_workload::{Catalog, Patience, PoissonArrivals, ZipfPopularity};
 use vod_units::{Mbps, Minutes};
 
@@ -83,7 +82,7 @@ fn usage() -> &'static str {
            --chaos 'kill:1@ckpt:1;kill:0@tick:500;corrupt:1@ckpt:2'\n\
            --policies full,partitioned,hothead,proportional\n\
            --backbone N --tail-from N --uplink-fraction F\n\
-           --agenda heap|wheel --json PATH --metrics PATH --manifest PATH"
+           --json PATH --metrics PATH --manifest PATH"
 }
 
 struct Opts(HashMap<String, String>);
@@ -215,7 +214,7 @@ fn cmd_client(opts: &Opts) -> Result<(), String> {
 }
 
 /// The execution flags every study subcommand shares — `--threads`,
-/// `--seed`, `--shards`, `--agenda`, `--json`, `--manifest` — parsed and
+/// `--seed`, `--shards`, `--json`, `--manifest` — parsed and
 /// validated by one routine so every registered study rejects bad
 /// values with identical messages.
 struct CommonArgs {
@@ -225,9 +224,6 @@ struct CommonArgs {
     seed: Option<u64>,
     /// Shard count (validated ≥ 1; only the sharded studies accept > 1).
     shards: usize,
-    /// Engine event-store backend (`heap` or `wheel`; results never
-    /// depend on it).
-    agenda: AgendaKind,
     /// `--json <path>`: where to write the structured report.
     json: Option<String>,
     /// `--manifest <path>`: where to write per-stage wall timings.
@@ -251,23 +247,18 @@ impl CommonArgs {
                     .map_err(|_| format!("--seed: bad integer `{v}`"))?,
             ),
         };
-        let agenda_str = opts.get_str("agenda", "heap");
-        let agenda = AgendaKind::parse(&agenda_str)
-            .ok_or_else(|| format!("--agenda: expected `heap` or `wheel`, got `{agenda_str}`"))?;
         Ok(Self {
             threads,
             seed,
             shards,
-            agenda,
             json: opts.0.get("json").cloned(),
             manifest: opts.0.get("manifest").cloned(),
         })
     }
 
-    /// The worker pool this invocation asked for, driving the engine
-    /// backend it asked for.
+    /// The worker pool this invocation asked for.
     fn runner(&self) -> Runner {
-        Runner::new(self.threads).with_agenda(self.agenda)
+        Runner::new(self.threads)
     }
 
     /// Studies that are not sharded refuse the scale-out flag instead of
@@ -342,7 +333,7 @@ fn run_study(study: &'static dyn Study, opts: &Opts) -> Result<(), String> {
         Some(default) => {
             // Wall-clock is machine truth, not simulation truth: stderr
             // only, so stdout and the artifact stay byte-identical
-            // across `--shards`, `--threads` and `--agenda`.
+            // across `--shards` and `--threads`.
             let mut line = format!(
                 "wall: {wall:.3}s at --shards {} --threads {}",
                 common.shards,
@@ -455,7 +446,7 @@ struct RecoveryRunJson {
 /// explicit `--chaos` script, re-verifying the byte-identity invariant
 /// against a plain `execute`. The `--mode sweep` study half dispatches
 /// through the registry instead. Both are byte-identical across
-/// `--threads`, `--shards` and `--agenda`.
+/// `--threads` and `--shards`.
 fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
     use sb_resilience::{Backoff, CrashScript, Recovered, RunSpec, Supervisor};
     use sb_sim::policy::ClientPolicy;
@@ -501,7 +492,6 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
         .shards(common.shards)
         .threads(common.threads)
         .seed(seed)
-        .agenda(common.agenda)
         .checkpoint_every(cadence);
     run_cfg.validate().map_err(|e| e.to_string())?;
     let supervisor = Supervisor::new(backoff, cadence).map_err(|e| e.to_string())?;
@@ -512,7 +502,6 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
         shards: common.shards,
         threads: common.threads,
         seed,
-        agenda: common.agenda,
         partition: None,
     };
     let recovered = supervisor

@@ -50,7 +50,7 @@ use sb_core::Skyscraper;
 use sb_metrics::{OpLog, Recorder, Registry, Snapshot, TeeRecorder};
 use sb_resilience::{Degradation, FaultScript, ResilienceOutcome};
 use sb_sim::run::RunParts;
-use sb_sim::{parallel_map, shard_of, AgendaKind, Engine, EngineStats, RunConfig};
+use sb_sim::{parallel_map, shard_of, Engine, EngineStats, RunConfig};
 use sb_workload::{Catalog, WorkloadRequest};
 
 use crate::admission::{AdmissionControl, AdmissionDecision, Backoff};
@@ -394,7 +394,6 @@ impl ControlledSim {
         script: &FaultScript,
         degradation: Degradation,
         rec: &mut dyn Recorder,
-        agenda: AgendaKind,
     ) -> Result<(ControlReport, Vec<f64>, Vec<f64>, EngineStats)> {
         script.validate()?;
         if script
@@ -416,7 +415,7 @@ impl ControlledSim {
         let mut adm = AdmissionControl::new(self.cfg.admission_ceiling);
         adm.retry = self.cfg.admission_retry;
 
-        let mut eng: Engine<Ev> = Engine::with_agenda(agenda);
+        let mut eng: Engine<Ev> = Engine::new();
         let mut horizon = 0.0_f64;
         for (idx, r) in requests.iter().enumerate() {
             eng.schedule_at(at_ticks(r.at.value()), Ev::Arrive { idx, attempt: 0 });
@@ -890,7 +889,6 @@ impl ControlledSim {
             shards,
             threads,
             seed,
-            agenda,
             partition,
             checkpoint_every: _,
         } = cfg.into_parts();
@@ -907,11 +905,9 @@ impl ControlledSim {
                         a: &mut reg,
                         b: user,
                     };
-                    self.run_faults_core(requests, policy, script, degradation, &mut tee, agenda)?
+                    self.run_faults_core(requests, policy, script, degradation, &mut tee)?
                 }
-                None => {
-                    self.run_faults_core(requests, policy, script, degradation, &mut reg, agenda)?
-                }
+                None => self.run_faults_core(requests, policy, script, degradation, &mut reg)?,
             };
             return Ok(ControlOutcome {
                 summary: report,
@@ -925,15 +921,15 @@ impl ControlledSim {
             policy,
             requests,
             recorder,
-            (shards, threads, seed, agenda, partition),
+            (shards, threads, seed, partition),
             script,
             degradation,
         )
     }
 
     /// The partitioned path behind [`ControlledSim::execute`];
-    /// `(shards, threads, seed, agenda, partition)` are the scale-out
-    /// and backend knobs off the [`RunConfig`] plus its scenario slot
+    /// `(shards, threads, seed, partition)` are the scale-out knobs off
+    /// the [`RunConfig`] plus its scenario slot
     /// (the cold-title owning-shard table).
     #[allow(clippy::too_many_lines)]
     fn execute_sharded(
@@ -941,13 +937,7 @@ impl ControlledSim {
         policy: ControlPolicy,
         requests: &[WorkloadRequest],
         recorder: Option<&mut dyn Recorder>,
-        (shards, threads, seed, agenda, partition): (
-            usize,
-            usize,
-            u64,
-            AgendaKind,
-            Option<&[usize]>,
-        ),
+        (shards, threads, seed, partition): (usize, usize, u64, Option<&[usize]>),
         script: &FaultScript,
         degradation: Degradation,
     ) -> Result<ControlOutcome> {
@@ -1040,7 +1030,6 @@ impl ControlledSim {
                         &scripts[s],
                         degradation,
                         &mut tee,
-                        agenda,
                     )
                 }
                 None => sims[s].run_faults_core(
@@ -1049,7 +1038,6 @@ impl ControlledSim {
                     &scripts[s],
                     degradation,
                     &mut reg,
-                    agenda,
                 ),
             };
             match result {
@@ -1552,57 +1540,6 @@ mod tests {
             Degradation::Stall
         )
         .is_err());
-    }
-
-    #[test]
-    fn heap_and_wheel_backends_match_bitwise_under_faults() {
-        // The control plane is the cancel-heavy client: batching timers,
-        // admission retries and outage repair all cancel or reschedule.
-        // Heap and wheel must agree to the byte, faulted or not.
-        let sim = sim(300.0);
-        let reqs = shifted_workload(40, 4.0, 300.0, 150.0, 10, 3);
-        let script = FaultScript {
-            outages: vec![ChannelOutage {
-                channel: 2,
-                start: Minutes(80.0),
-                duration: Minutes(30.0),
-            }],
-            ..FaultScript::none()
-        };
-        let heap = sim
-            .execute(ControlPolicy::Dynamic, RunConfig::new(&reqs))
-            .unwrap();
-        let wheel = sim
-            .execute(
-                ControlPolicy::Dynamic,
-                RunConfig::new(&reqs).agenda(AgendaKind::Wheel),
-            )
-            .unwrap();
-        assert_eq!(heap.summary, wheel.summary);
-        assert_eq!(heap.snapshot, wheel.snapshot);
-        assert_eq!(heap.popularity, wheel.popularity);
-        let faulted_heap = sim
-            .execute(
-                ControlPolicy::Static,
-                RunConfig::new(&reqs).faults(ControlFaults {
-                    script: &script,
-                    degradation: Degradation::SkipSegment,
-                }),
-            )
-            .unwrap();
-        let faulted_wheel = sim
-            .execute(
-                ControlPolicy::Static,
-                RunConfig::new(&reqs)
-                    .agenda(AgendaKind::Wheel)
-                    .faults(ControlFaults {
-                        script: &script,
-                        degradation: Degradation::SkipSegment,
-                    }),
-            )
-            .unwrap();
-        assert_eq!(faulted_heap.summary, faulted_wheel.summary);
-        assert_eq!(faulted_heap.snapshot, faulted_wheel.snapshot);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! deterministic — delays are *modeled*, summed into
 //! [`RecoveryStats::recovery_delay`], never slept — a killed-and-resumed
 //! run is **bitwise identical** to an uninterrupted one, for every shard
-//! count × thread count × agenda backend. That invariant is this
+//! count × thread count. That invariant is this
 //! module's whole point, and `tests/recovery_supervisor.rs` plus
 //! `scripts/verify.sh` pin it.
 //!
@@ -255,8 +255,6 @@ pub struct RunSpec<'a> {
     pub threads: usize,
     /// Seed for the catalog-to-shard hash.
     pub seed: u64,
-    /// Event-store backend for every engine of the run.
-    pub agenda: AgendaKind,
     /// Optional per-video owning-shard table.
     pub partition: Option<&'a [usize]>,
 }
@@ -267,7 +265,6 @@ impl Default for RunSpec<'_> {
             shards: 1,
             threads: 1,
             seed: 0,
-            agenda: AgendaKind::Heap,
             partition: None,
         }
     }
@@ -452,7 +449,7 @@ impl Supervisor {
         let work: Vec<(usize, &ShardSlice)> = slices.iter().enumerate().collect();
         let verdicts: Vec<ShardVerdict> =
             parallel_map(spec.threads, LABEL, &work, |_, &(s, slice)| {
-                self.run_one_shard(sim, s, slice, spec.agenda, &script[s])
+                self.run_one_shard(sim, s, slice, &script[s])
             });
 
         let mut stats = RecoveryStats::default();
@@ -490,7 +487,6 @@ impl Supervisor {
         sim: &SystemSim<'_>,
         shard: usize,
         slice: &ShardSlice,
-        agenda: AgendaKind,
         triggers: &[CrashTrigger],
     ) -> ShardVerdict {
         let mut stats = RecoveryStats::default();
@@ -553,7 +549,7 @@ impl Supervisor {
             };
             let result = sim.run_shard(
                 slice,
-                agenda,
+                AgendaKind::Heap,
                 self.checkpoint_every,
                 resume.as_deref(),
                 &mut probe,

@@ -3,8 +3,8 @@
 //! 1. **Bitwise identity under chaos** — a supervised run whose shards
 //!    are killed (at ticks and at checkpoints) and resumed from their
 //!    checkpoints produces the exact bytes of an uninterrupted
-//!    `SystemSim::execute`, for every `shards {1,2,4} × threads {1,2,4}
-//!    × agenda {heap,wheel}` combination.
+//!    `SystemSim::execute`, for every `shards {1,2,4} × threads {1,2,4}`
+//!    combination.
 //! 2. **Corruption fallback** — a corrupted latest checkpoint is
 //!    rejected by its checksum and the shard falls back to the previous
 //!    one, still landing on identical bytes.
@@ -22,7 +22,7 @@ use sb_core::Skyscraper;
 use sb_resilience::{Backoff, CrashScript, Recovered, RunSpec, Supervisor};
 use sb_sim::policy::ClientPolicy;
 use sb_sim::system::{Request, SystemSim};
-use sb_sim::{AgendaKind, RunConfig, RunOutcome};
+use sb_sim::{RunConfig, RunOutcome};
 
 fn lineup() -> (SystemConfig, sb_core::plan::ChannelPlan, Vec<Request>) {
     let cfg = SystemConfig::paper_defaults(Mbps(300.0));
@@ -62,40 +62,32 @@ fn supervised_chaos_is_bitwise_identical_to_uninterrupted_execute() {
         spec_items.push("kill:0@tick:40000".to_string());
         let chaos = CrashScript::parse(&spec_items.join(";")).unwrap();
         for threads in [1usize, 2, 4] {
-            for agenda in [AgendaKind::Heap, AgendaKind::Wheel] {
-                let base = sim
-                    .execute(
-                        RunConfig::new(&requests)
-                            .shards(shards)
-                            .threads(threads)
-                            .agenda(agenda),
-                    )
-                    .unwrap();
-                let spec = RunSpec {
-                    shards,
-                    threads,
-                    agenda,
-                    ..RunSpec::default()
-                };
-                let recovered = supervisor.run(&sim, &requests, &spec, &chaos).unwrap();
-                let Recovered::Complete { outcome, stats } = recovered else {
-                    panic!("S={shards} T={threads} {agenda:?}: expected a complete run");
-                };
-                assert_eq!(
-                    outcome_bytes(&base),
-                    outcome_bytes(&outcome),
-                    "S={shards} T={threads} {agenda:?}: supervised bytes diverged"
-                );
-                assert!(
-                    stats.crashes_injected >= shards as u64,
-                    "S={shards}: every scripted per-shard kill should fire \
-                     (got {})",
-                    stats.crashes_injected
-                );
-                assert!(stats.restores >= 1, "kills at ckpt 1 resume from it");
-                assert!(stats.checkpoints_taken > 0);
-                assert!(stats.recovery_delay.value() > 0.0, "delays are modeled");
-            }
+            let base = sim
+                .execute(RunConfig::new(&requests).shards(shards).threads(threads))
+                .unwrap();
+            let spec = RunSpec {
+                shards,
+                threads,
+                ..RunSpec::default()
+            };
+            let recovered = supervisor.run(&sim, &requests, &spec, &chaos).unwrap();
+            let Recovered::Complete { outcome, stats } = recovered else {
+                panic!("S={shards} T={threads}: expected a complete run");
+            };
+            assert_eq!(
+                outcome_bytes(&base),
+                outcome_bytes(&outcome),
+                "S={shards} T={threads}: supervised bytes diverged"
+            );
+            assert!(
+                stats.crashes_injected >= shards as u64,
+                "S={shards}: every scripted per-shard kill should fire \
+                 (got {})",
+                stats.crashes_injected
+            );
+            assert!(stats.restores >= 1, "kills at ckpt 1 resume from it");
+            assert!(stats.checkpoints_taken > 0);
+            assert!(stats.recovery_delay.value() > 0.0, "delays are modeled");
         }
     }
 }

@@ -1,5 +1,11 @@
-//! Pluggable event-store backends for the engine: the [`Agenda`] trait,
-//! the classic binary-heap backend, and a hierarchical timing wheel.
+//! Event-store backends for the engine: the [`Agenda`] trait, the
+//! classic binary-heap backend, and a hierarchical timing wheel.
+//!
+//! Every run path (`SystemSim::execute`, `ControlledSim::execute`, the
+//! recovery supervisor) uses the heap. The wheel stays reachable through
+//! [`crate::engine::Engine::with_agenda`] and `SystemSim::run_shard`, so
+//! the engine benchmarks and the cross-backend tests can keep comparing
+//! the two.
 //!
 //! The engine's hot loop is `push`/`pop` on a priority queue keyed by
 //! `(tick, seq)`. The paper's workloads are *near-periodic* — millions of
@@ -59,17 +65,7 @@ pub enum AgendaKind {
 }
 
 impl AgendaKind {
-    /// Parse a CLI-facing backend name (`heap` / `wheel`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(Self::Heap),
-            "wheel" => Some(Self::Wheel),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing backend name.
+    /// The backend's name, as benchmark labels print it.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

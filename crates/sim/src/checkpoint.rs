@@ -233,6 +233,9 @@ impl SystemSim<'_> {
     /// can inject deterministic crashes and collect checkpoint bytes.
     /// Passing `resume` continues from a previously collected checkpoint;
     /// the completed [`ShardRun`] is bitwise identical either way.
+    /// `agenda` picks the engine's event store: the run paths pass
+    /// [`AgendaKind::Heap`]; the wheel yields the same bytes and is kept
+    /// for benchmarks and cross-backend tests.
     ///
     /// # Errors
     /// [`ShardCrash::Corrupt`] when `resume` fails to decode (nothing has

@@ -4,9 +4,11 @@
 //! closed form ([`crate::schedule`]), but whole-system questions — how many
 //! clients are active at once, how a channel pool drains a request queue —
 //! need an agenda-driven simulation. This engine provides exactly that:
-//! a tick clock ([`vod_units::Ticks`]), a pluggable agenda backend
-//! ([`crate::agenda`]) with deterministic FIFO tie-breaking, and event
-//! cancellation.
+//! a tick clock ([`vod_units::Ticks`]), an agenda ([`crate::agenda`])
+//! with deterministic FIFO tie-breaking, and event cancellation. Every
+//! run path uses the binary-heap agenda; the timing wheel stays as an
+//! engine-level backend ([`Engine::with_agenda`]) that the engine
+//! benchmarks time against it.
 //!
 //! Events are user-defined payloads; the engine is generic and contains no
 //! domain logic. Determinism matters for reproducible experiments: two
@@ -164,12 +166,11 @@ pub struct FrozenEngine<E> {
     pub entries: Vec<(Ticks, u64, E)>,
 }
 
-/// The event store behind an engine: statically dispatched for the two
-/// built-in backends, boxed for caller-supplied ones.
+/// The event store behind an engine, statically dispatched over the two
+/// built-in backends.
 enum Backend<E> {
     Heap(HeapAgenda<E>),
     Wheel(WheelAgenda<E>),
-    Custom(Box<dyn Agenda<E>>),
 }
 
 impl<E> Backend<E> {
@@ -177,7 +178,6 @@ impl<E> Backend<E> {
         match self {
             Backend::Heap(a) => a.push(entry),
             Backend::Wheel(a) => a.push(entry),
-            Backend::Custom(a) => a.push(entry),
         }
     }
 
@@ -185,7 +185,6 @@ impl<E> Backend<E> {
         match self {
             Backend::Heap(a) => a.pop(),
             Backend::Wheel(a) => a.pop(),
-            Backend::Custom(a) => a.pop(),
         }
     }
 
@@ -193,7 +192,6 @@ impl<E> Backend<E> {
         match self {
             Backend::Heap(a) => a.peek(),
             Backend::Wheel(a) => a.peek(),
-            Backend::Custom(a) => a.peek(),
         }
     }
 
@@ -201,7 +199,6 @@ impl<E> Backend<E> {
         match self {
             Backend::Heap(a) => Agenda::len(a),
             Backend::Wheel(a) => Agenda::len(a),
-            Backend::Custom(a) => a.len(),
         }
     }
 
@@ -209,7 +206,6 @@ impl<E> Backend<E> {
         match self {
             Backend::Heap(a) => a.retain(keep),
             Backend::Wheel(a) => a.retain(keep),
-            Backend::Custom(a) => a.retain(keep),
         }
     }
 
@@ -217,7 +213,6 @@ impl<E> Backend<E> {
         match self {
             Backend::Heap(a) => a.wheel_stats(),
             Backend::Wheel(a) => a.wheel_stats(),
-            Backend::Custom(a) => a.wheel_stats(),
         }
     }
 }
@@ -262,14 +257,6 @@ impl<E> Engine<E> {
             AgendaKind::Heap => Backend::Heap(HeapAgenda::new()),
             AgendaKind::Wheel => Backend::Wheel(WheelAgenda::new()),
         })
-    }
-
-    /// A fresh engine on a caller-supplied [`Agenda`] backend. The
-    /// backend must honour the trait's `(at, seq)` ordering contract for
-    /// the engine's determinism guarantees to hold.
-    #[must_use]
-    pub fn with_backend(backend: Box<dyn Agenda<E>>) -> Self {
-        Self::from_backend(Backend::Custom(backend))
     }
 
     fn from_backend(backend: Backend<E>) -> Self {
@@ -840,17 +827,6 @@ mod tests {
         eng.schedule_at(Ticks(5), ());
         let _ = eng.next();
         eng.schedule_at(Ticks(3), ());
-    }
-
-    #[test]
-    fn custom_backend_is_pluggable() {
-        // `with_backend` takes any Agenda impl; drive one end to end.
-        let mut eng: Engine<u8> = Engine::with_backend(Box::new(WheelAgenda::new()));
-        eng.schedule_at(Ticks(3), 1);
-        eng.schedule_at(Ticks(1), 2);
-        let mut seen = Vec::new();
-        eng.run(|_, _, p| seen.push(p));
-        assert_eq!(seen, vec![2, 1]);
     }
 
     proptest! {

@@ -20,8 +20,8 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`engine`] | a small, deterministic discrete-event engine (tick clock, pluggable agenda) |
-//! | [`agenda`] | event-store backends: binary heap and hierarchical timing wheel, bitwise interchangeable |
+//! | [`engine`] | a small, deterministic discrete-event engine (tick clock, binary-heap agenda) |
+//! | [`agenda`] | event stores: the binary heap every run uses, and a hierarchical timing wheel with bitwise-identical fire order |
 //! | [`checkpoint`] | versioned, checksummed shard checkpoints and the crash/restore probe protocol |
 //! | [`trace`] | the unified [`trace::SessionTrace`] every client model produces, and the [`trace::ClientModel`] trait |
 //! | [`schedule`] | client schedules: downloads, playback, and conversion to traces |

@@ -181,7 +181,7 @@ impl<'a> SystemSim<'a> {
 
     /// The one simulation core every public entry point funnels into.
     ///
-    /// Drives `requests` through an engine on the `agenda` backend,
+    /// Drives `requests` through an engine on the binary-heap agenda,
     /// streaming traces into `sink` and metric events into `rec`. When
     /// `capture` is given, additionally appends one [`SessionScalars`]
     /// per served session in engine (pop) order — the sharded executor's
@@ -194,9 +194,8 @@ impl<'a> SystemSim<'a> {
         rec: &mut dyn Recorder,
         sink: &mut dyn TraceSink,
         mut capture: Option<&mut Vec<SessionScalars>>,
-        agenda: AgendaKind,
     ) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
-        let mut engine: Engine<Ev> = Engine::with_agenda(agenda);
+        let mut engine: Engine<Ev> = Engine::new();
         self.schedule_arrivals(&mut engine, requests);
         let index = self.plan.index();
         let mut state = CoreState::new();
@@ -576,9 +575,12 @@ mod tests {
     }
 
     /// The heap and wheel backends must produce the same bytes end to
-    /// end: report, streamed fold, snapshot and (serialized) stats.
+    /// end: report, streamed fold, snapshot and (serialized) stats. Runs
+    /// always use the heap; the wheel is reachable through `run_shard`.
     #[test]
     fn heap_and_wheel_backends_match_bitwise() {
+        use crate::checkpoint::Verdict;
+        use crate::shard::{merge_shard_runs, plan_shards};
         let cfg = SystemConfig::paper_defaults(Mbps(300.0));
         let plan = Skyscraper::with_width(Width::Capped(52))
             .plan(&cfg)
@@ -586,9 +588,17 @@ mod tests {
         let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
         let requests = requests_grid(48, 10, 20.0);
         let heap = sim.execute(RunConfig::new(&requests)).unwrap();
-        let wheel = sim
-            .execute(RunConfig::new(&requests).agenda(crate::agenda::AgendaKind::Wheel))
+        let slices = plan_shards(&requests, 1, 0, None);
+        let run = sim
+            .run_shard(&slices[0], AgendaKind::Wheel, u64::MAX, None, &mut |_| {
+                Verdict::Continue
+            })
             .unwrap();
+        assert!(
+            run.stats.wheel.peak_bucket > 0,
+            "wheel counters live in memory only"
+        );
+        let wheel = merge_shard_runs(vec![(0, run)], "wheel").unwrap();
         assert_eq!(heap.summary, wheel.summary);
         assert_eq!(heap.fold, wheel.fold);
         assert_eq!(
@@ -601,9 +611,5 @@ mod tests {
             "serialized stats must hide the backend"
         );
         assert!(heap.stats.wheel.cascades == 0 && heap.stats.wheel.peak_bucket == 0);
-        assert!(
-            wheel.stats.wheel.peak_bucket > 0,
-            "wheel counters live in memory only"
-        );
     }
 }

@@ -29,8 +29,8 @@
 //! Everything is a pure function of the configuration and its seed:
 //! two calls with the same [`ScenarioConfig`] produce bit-identical
 //! users, regions and request streams, which is what lets scenario
-//! studies promise byte-identical artifacts across `--shards`,
-//! `--threads` and `--agenda` (see `DESIGN.md` §13).
+//! studies promise byte-identical artifacts across `--shards` and
+//! `--threads` (see `DESIGN.md` §13).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

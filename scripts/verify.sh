@@ -5,8 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace"
-# --workspace: the smokes below invoke target/release/{throughput_bench,
-# scale_bench} directly — a root-package build would leave them stale.
+# --workspace: the smokes below invoke target/release/sbcast directly —
+# a root-package build would leave it stale.
 cargo build --release --workspace
 
 echo "==> cargo test -q"
@@ -70,65 +70,38 @@ for s in 1 2 4; do
     done
 done
 
-echo "==> agenda smoke (heap vs wheel byte identity, 6-way over --shards)"
-# The wheel backend must reproduce the heap bytes exactly — JSON artifact
-# and stdout — at every shard count. 6 runs: {heap, wheel} x shards {1, 2, 4}.
-agenda_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$agenda_dir"' EXIT
-for a in heap wheel; do
-    for s in 1 2 4; do
-        cargo run -q -p sb-cli --bin sbcast -- scale --sessions 3000 --horizon 300 \
-            --shards "$s" --threads 2 --agenda "$a" \
-            --json "$agenda_dir/ag-$a-$s.json" 2>/dev/null > "$agenda_dir/ag-$a-$s.out"
-    done
-done
-for a in heap wheel; do
-    for s in 1 2 4; do
-        diff -u "$agenda_dir/ag-heap-1.json" "$agenda_dir/ag-$a-$s.json"
-        diff -u "$agenda_dir/ag-heap-1.out" "$agenda_dir/ag-$a-$s.out"
-    done
-done
-# The same identity on the fault-study path (control plane + degradation).
-cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
-    --agenda wheel 2>/dev/null > "$agenda_dir/res-wheel.out"
-diff -u "$res_a" "$agenda_dir/res-wheel.out"
-
-echo "==> scenario smoke (metro pack, determinism across --shards x --threads x --agenda)"
+echo "==> scenario smoke (metro pack, determinism across --shards x --threads)"
 scn_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$agenda_dir" "$scn_dir"' EXIT
-for combo in "1 1 heap" "2 4 wheel" "4 2 heap"; do
-    read -r s n a <<<"$combo"
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir"' EXIT
+for combo in "1 1" "2 4" "4 2"; do
+    read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- scenario --profile smoke \
-        --shards "$s" --threads "$n" --agenda "$a" \
-        --json "$scn_dir/scn-$s-$n-$a.json" 2>/dev/null > "$scn_dir/scn-$s-$n-$a.out"
+        --shards "$s" --threads "$n" \
+        --json "$scn_dir/scn-$s-$n.json" 2>/dev/null > "$scn_dir/scn-$s-$n.out"
 done
-test -s "$scn_dir/scn-1-1-heap.json" || { echo "BENCH_scenario.json is empty"; exit 1; }
-grep -q '"demand_share"' "$scn_dir/scn-1-1-heap.json"
-grep -q '"dynamic_report"' "$scn_dir/scn-1-1-heap.json"
-grep -q '"shard_peak_agenda"' "$scn_dir/scn-1-1-heap.json"
-diff -u "$scn_dir/scn-1-1-heap.json" "$scn_dir/scn-2-4-wheel.json"
-diff -u "$scn_dir/scn-1-1-heap.json" "$scn_dir/scn-4-2-heap.json"
-diff -u "$scn_dir/scn-1-1-heap.out" "$scn_dir/scn-2-4-wheel.out"
-diff -u "$scn_dir/scn-1-1-heap.out" "$scn_dir/scn-4-2-heap.out"
+test -s "$scn_dir/scn-1-1.json" || { echo "BENCH_scenario.json is empty"; exit 1; }
+grep -q '"demand_share"' "$scn_dir/scn-1-1.json"
+grep -q '"dynamic_report"' "$scn_dir/scn-1-1.json"
+grep -q '"shard_peak_agenda"' "$scn_dir/scn-1-1.json"
+diff -u "$scn_dir/scn-1-1.json" "$scn_dir/scn-2-4.json"
+diff -u "$scn_dir/scn-1-1.json" "$scn_dir/scn-4-2.json"
+diff -u "$scn_dir/scn-1-1.out" "$scn_dir/scn-2-4.out"
+diff -u "$scn_dir/scn-1-1.out" "$scn_dir/scn-4-2.out"
 
-echo "==> recovery smoke (kill/resume byte identity, 6-way over --shards x --agenda)"
+echo "==> recovery smoke (kill/resume byte identity over --shards)"
 # The flagship crash-recovery invariant through the CLI: a supervised run
 # whose shards are killed and resumed from checkpoints must print
 # "identical to uninterrupted execute: yes" (the binary exits nonzero on
-# divergence) at every shard count on both agenda backends.
+# divergence) at every shard count.
 rec_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$agenda_dir" "$scn_dir" "$rec_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
 for s in 1 2 4; do
-    for a in heap wheel; do
-        chaos="kill:0@ckpt:1;kill:0@tick:40000"
-        if [ "$s" -gt 1 ]; then chaos="$chaos;kill:1@ckpt:2"; fi
-        cargo run -q --release -p sb-cli --bin sbcast -- recovery \
-            --sessions 2000 --horizon 200 --cadence 25 --shards "$s" --threads 2 \
-            --agenda "$a" --chaos "$chaos" 2>/dev/null > "$rec_dir/rec-$s-$a.out"
-        grep -q 'identical to uninterrupted execute: yes' "$rec_dir/rec-$s-$a.out"
-    done
-    # Same shard count, other backend: byte-identical stdout.
-    diff -u "$rec_dir/rec-$s-heap.out" "$rec_dir/rec-$s-wheel.out"
+    chaos="kill:0@ckpt:1;kill:0@tick:40000"
+    if [ "$s" -gt 1 ]; then chaos="$chaos;kill:1@ckpt:2"; fi
+    cargo run -q --release -p sb-cli --bin sbcast -- recovery \
+        --sessions 2000 --horizon 200 --cadence 25 --shards "$s" --threads 2 \
+        --chaos "$chaos" 2>/dev/null > "$rec_dir/rec-$s.out"
+    grep -q 'identical to uninterrupted execute: yes' "$rec_dir/rec-$s.out"
 done
 
 echo "==> corrupt-checkpoint smoke (checksum rejection + fall-back, then graceful degradation)"
@@ -163,105 +136,85 @@ test -s "$rec_dir/rec-sweep.json" || { echo "BENCH_recovery.json is empty"; exit
 grep -q '"replayed_sessions"' "$rec_dir/rec-sweep.json"
 grep -q '"identical": true' "$rec_dir/rec-sweep.json"
 
-echo "==> frontier smoke (scheme zoo Pareto frontier, 6-way over --shards x --threads x --agenda)"
+echo "==> frontier smoke (scheme zoo Pareto frontier, 4-way over --shards x --threads)"
 # The frontier artifact must be byte-identical — JSON and stdout — for
-# every knob combination: {shards 1, 2} x {threads 1, 2} x {heap, wheel}.
+# every knob combination: {shards 1, 2} x {threads 1, 2}.
 fr_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$agenda_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
-for combo in "1 1 heap" "1 2 wheel" "2 1 wheel" "2 2 heap" "1 2 heap" "2 2 wheel"; do
-    read -r s n a <<<"$combo"
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
+for combo in "1 1" "1 2" "2 1" "2 2"; do
+    read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- frontier --profile smoke \
-        --shards "$s" --threads "$n" --agenda "$a" \
-        --json "$fr_dir/fr-$s-$n-$a.json" 2>/dev/null > "$fr_dir/fr-$s-$n-$a.out"
+        --shards "$s" --threads "$n" \
+        --json "$fr_dir/fr-$s-$n.json" 2>/dev/null > "$fr_dir/fr-$s-$n.out"
 done
-test -s "$fr_dir/fr-1-1-heap.json" || { echo "BENCH_frontier.json is empty"; exit 1; }
-grep -q '"on_frontier_analytic"' "$fr_dir/fr-1-1-heap.json"
-grep -q '"sim_jitter_free"' "$fr_dir/fr-1-1-heap.json"
-grep -q 'CTIFB' "$fr_dir/fr-1-1-heap.json"
-grep -q 'AQHB' "$fr_dir/fr-1-1-heap.json"
-for combo in "1 2 wheel" "2 1 wheel" "2 2 heap" "1 2 heap" "2 2 wheel"; do
-    read -r s n a <<<"$combo"
-    diff -u "$fr_dir/fr-1-1-heap.json" "$fr_dir/fr-$s-$n-$a.json"
-    diff -u "$fr_dir/fr-1-1-heap.out" "$fr_dir/fr-$s-$n-$a.out"
+test -s "$fr_dir/fr-1-1.json" || { echo "BENCH_frontier.json is empty"; exit 1; }
+grep -q '"on_frontier_analytic"' "$fr_dir/fr-1-1.json"
+grep -q '"sim_jitter_free"' "$fr_dir/fr-1-1.json"
+grep -q 'CTIFB' "$fr_dir/fr-1-1.json"
+grep -q 'AQHB' "$fr_dir/fr-1-1.json"
+for combo in "1 2" "2 1" "2 2"; do
+    read -r s n <<<"$combo"
+    diff -u "$fr_dir/fr-1-1.json" "$fr_dir/fr-$s-$n.json"
+    diff -u "$fr_dir/fr-1-1.out" "$fr_dir/fr-$s-$n.out"
 done
 # SB survives both frontiers at the paper operating point (B=320, M=10).
-grep -q 'AS' "$fr_dir/fr-1-1-heap.out"
+grep -q 'AS' "$fr_dir/fr-1-1.out"
 # The buggy-HB opt-in surfaces the refuted point as infeasible.
 cargo run -q --release -p sb-cli --bin sbcast -- frontier --profile smoke --buggy-hb yes \
     --json "$fr_dir/fr-hb.json" 2>/dev/null > "$fr_dir/fr-hb.out"
 grep -q '"sim_jitter_free": false' "$fr_dir/fr-hb.json"
 
-echo "==> frontier wall-clock artifact (frontier_bench, smoke-sized)"
-./target/release/frontier_bench --sessions 8 --threads 4 --shards 2 \
-    --json "$fr_dir/fr-bench.json" > "$fr_dir/fr-bench.out" 2>/dev/null
-test -s "$fr_dir/fr-bench.json" || { echo "frontier_bench JSON missing"; exit 1; }
-grep -q '"cells"' "$fr_dir/fr-bench.json"
+echo "==> frontier paper-grid artifact (smoke-sized sessions)"
+./target/release/sbcast frontier --sessions 8 --threads 4 --shards 2 \
+    --json "$fr_dir/fr-paper.json" > "$fr_dir/fr-paper.out" 2>/dev/null
+test -s "$fr_dir/fr-paper.json" || { echo "frontier paper-grid JSON missing"; exit 1; }
+grep -q '"cells"' "$fr_dir/fr-paper.json"
 
-echo "==> distribution smoke (distributed tier, 6-way over --shards x --threads x --agenda)"
+echo "==> distribution smoke (distributed tier, 4-way over --shards x --threads)"
 # The distributed-tier artifact must be byte-identical — JSON and stdout —
-# for every knob combination: {shards 1, 2} x {threads 1, 2} x {heap, wheel}.
+# for every knob combination: {shards 1, 2} x {threads 1, 2}.
 dist_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$agenda_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
-for combo in "1 1 heap" "1 2 wheel" "2 1 wheel" "2 2 heap" "1 2 heap" "2 2 wheel"; do
-    read -r s n a <<<"$combo"
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
+for combo in "1 1" "1 2" "2 1" "2 2"; do
+    read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- distribution --profile smoke \
-        --shards "$s" --threads "$n" --agenda "$a" \
-        --json "$dist_dir/dist-$s-$n-$a.json" 2>/dev/null > "$dist_dir/dist-$s-$n-$a.out"
+        --shards "$s" --threads "$n" \
+        --json "$dist_dir/dist-$s-$n.json" 2>/dev/null > "$dist_dir/dist-$s-$n.out"
 done
-test -s "$dist_dir/dist-1-1-heap.json" || { echo "BENCH_distribution.json is empty"; exit 1; }
-grep -q '"HotHead"' "$dist_dir/dist-1-1-heap.json"
-grep -q '"peer_windows"' "$dist_dir/dist-1-1-heap.json"
-grep -q '"savings_vs_naive"' "$dist_dir/dist-1-1-heap.json"
-grep -q '"bound_mbps"' "$dist_dir/dist-1-1-heap.json"
-for combo in "1 2 wheel" "2 1 wheel" "2 2 heap" "1 2 heap" "2 2 wheel"; do
-    read -r s n a <<<"$combo"
-    diff -u "$dist_dir/dist-1-1-heap.json" "$dist_dir/dist-$s-$n-$a.json"
-    diff -u "$dist_dir/dist-1-1-heap.out" "$dist_dir/dist-$s-$n-$a.out"
+test -s "$dist_dir/dist-1-1.json" || { echo "BENCH_distribution.json is empty"; exit 1; }
+grep -q '"HotHead"' "$dist_dir/dist-1-1.json"
+grep -q '"peer_windows"' "$dist_dir/dist-1-1.json"
+grep -q '"savings_vs_naive"' "$dist_dir/dist-1-1.json"
+grep -q '"bound_mbps"' "$dist_dir/dist-1-1.json"
+for combo in "1 2" "2 1" "2 2"; do
+    read -r s n <<<"$combo"
+    diff -u "$dist_dir/dist-1-1.json" "$dist_dir/dist-$s-$n.json"
+    diff -u "$dist_dir/dist-1-1.out" "$dist_dir/dist-$s-$n.out"
 done
 # All four placement policies price both peer modes in the stdout table.
 for policy in full partitioned hothead proportional; do
-    grep -q "^$policy" "$dist_dir/dist-1-1-heap.out"
+    grep -q "^$policy" "$dist_dir/dist-1-1.out"
 done
 
-echo "==> distribution wall-clock artifact (distribution_bench, default artifact name)"
-dist_bench="$PWD/target/release/distribution_bench"
-(cd "$dist_dir" && "$dist_bench" --threads 4 --shards 2 > dist-bench.out 2>/dev/null)
+echo "==> distribution paper-grid artifact (default artifact name)"
+sbcast_bin="$PWD/target/release/sbcast"
+(cd "$dist_dir" && "$sbcast_bin" distribution --threads 4 --shards 2 > dist-paper.out 2>/dev/null)
 test -s "$dist_dir/BENCH_distribution.json" || { echo "BENCH_distribution.json missing"; exit 1; }
-test -s "$dist_dir/BENCH_wallclock.json" || { echo "distribution wallclock missing"; exit 1; }
-grep -q '"distribution_bench"' "$dist_dir/BENCH_wallclock.json"
+grep -q '"savings_vs_naive"' "$dist_dir/BENCH_distribution.json"
 
 echo "==> release profile keeps integer overflow checks on"
 grep -A2 '^\[profile\.release\]' Cargo.toml | grep -q 'overflow-checks = true'
 
-echo "==> wall-clock trajectory (throughput_bench, heap + wheel timed passes)"
-./target/release/throughput_bench --json "$thr_dir/thr-bench.json" \
-    > "$thr_dir/thr-bench.out" 2>"$thr_dir/thr-bench.err"
-# BENCH_wallclock.json is nondeterministic by design (wall seconds): it
-# is checked for shape, never diffed — keep it OUT of the byte-identity
-# smokes above.
-wallclock="$thr_dir/BENCH_wallclock.json"
-test -s "$wallclock" || { echo "BENCH_wallclock.json missing"; exit 1; }
-for field in '"backend"' '"sessions_per_sec"' '"events_per_sec"' '"wall_secs"' '"wheel_speedup"'; do
-    grep -q "$field" "$wallclock" || { echo "BENCH_wallclock.json lacks $field"; exit 1; }
-done
-grep -q '"heap"' "$wallclock" || { echo "no heap pass in BENCH_wallclock.json"; exit 1; }
-grep -q '"wheel"' "$wallclock" || { echo "no wheel pass in BENCH_wallclock.json"; exit 1; }
-grep '"wheel_speedup"' "$wallclock"
-
-echo "==> scale release smoke (>= 10M streamed sessions on the wheel backend)"
+echo "==> scale release smoke (>= 10M streamed sessions)"
 # 2.2M-session grid: 4 cells + the flagship pass = 11M streamed sessions.
-./target/release/scale_bench --shards 4 --threads 4 --agenda wheel --sessions 2200000 \
+./target/release/sbcast scale --shards 4 --threads 4 --sessions 2200000 \
     --json "$scale_dir/scale-full.json" > "$scale_dir/scale-full.out" 2>/dev/null
 grep -q '"total_sessions": 2200000' "$scale_dir/scale-full.json"
-test -s "$scale_dir/BENCH_wallclock.json" || { echo "scale wallclock missing"; exit 1; }
-grep -q '"scale_bench"' "$scale_dir/BENCH_wallclock.json"
 
-echo "==> scenario wall-clock artifact (scenario_bench, paper grid)"
-./target/release/scenario_bench --shards 2 --threads 4 \
-    --json "$scn_dir/scn-bench.json" > "$scn_dir/scn-bench.out" 2>/dev/null
-test -s "$scn_dir/BENCH_wallclock.json" || { echo "scenario wallclock missing"; exit 1; }
-grep -q '"scenario_bench"' "$scn_dir/BENCH_wallclock.json"
-grep -q '"flash"' "$scn_dir/scn-bench.json"
+echo "==> scenario paper-grid artifact"
+./target/release/sbcast scenario --shards 2 --threads 4 \
+    --json "$scn_dir/scn-paper.json" > "$scn_dir/scn-paper.out" 2>/dev/null
+grep -q '"flash"' "$scn_dir/scn-paper.json"
 
 echo "==> criterion benches compile against the vendored deps"
 cargo bench -p sb-bench --no-run -q
@@ -269,12 +222,14 @@ cargo bench -p sb-bench --no-run -q
 echo "==> doc lint (shipped docs name the shipped interfaces)"
 grep -q '^## 11\. Sharded scale-out and the one-RunConfig API' DESIGN.md
 grep -q 'shard_invariance' DESIGN.md
-grep -q '^## 12\. The timing-wheel agenda' DESIGN.md
+grep -q '^## 12\. The engine.s event store' DESIGN.md
+grep -q 'PB channels span shards' DESIGN.md
 grep -q 'overflow' DESIGN.md
 grep -q 'sbcast -- scale' README.md
 grep -q 'BENCH_scale.json' README.md
-grep -q '\-\-agenda wheel' README.md
-grep -q 'BENCH_wallclock.json' README.md
+grep -q 'perfbench/' README.md
+grep -q 'BENCHMARK.json' README.md
+if grep -q -- '--agenda' README.md; then echo "README still documents --agenda"; exit 1; fi
 grep -q '^## 13\. The metropolitan scenario pack' DESIGN.md
 grep -q 'scenario_invariance' DESIGN.md
 grep -q 'region_slots' DESIGN.md
