@@ -58,6 +58,18 @@ fn bad_resilience_config_fails_cleanly() {
 }
 
 #[test]
+fn bad_control_knobs_fail_cleanly() {
+    for (flag, value) in [
+        ("--half-life", "0"),
+        ("--hysteresis", "-1"),
+        ("--ceiling", "0"),
+    ] {
+        let out = sbcast(&["control", "--horizon", "50", "--seeds", "11", flag, value]);
+        assert_clean_failure(&out);
+    }
+}
+
+#[test]
 fn plan_succeeds_on_defaults() {
     let out = sbcast(&["plan"]);
     assert!(out.status.success());

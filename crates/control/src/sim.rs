@@ -197,8 +197,8 @@ struct BroadcastSession {
 
 /// Engine event payloads.
 enum Ev {
-    /// Request `idx` arrives; `attempt` counts admission retries already
-    /// behind it (0 = fresh arrival).
+    /// Request `idx` (its index in the caller's slice) arrives; `attempt`
+    /// counts admission retries already behind it (0 = fresh arrival).
     Arrive { idx: usize, attempt: u32 },
     /// A pool stream finished, freeing a channel.
     PoolDone,
@@ -254,8 +254,7 @@ impl IntoControlFaults for ControlFaults<'_> {
 /// the control plane's analogue of [`sb_sim::RunOutcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlOutcome {
-    /// The control-plane report (identical to the historical
-    /// `ControlledSim::run` output when `shards(1)`).
+    /// The control-plane report, merged across shards.
     pub summary: ControlReport,
     /// Engine statistics, summed across shards; `peak_agenda` is the
     /// maximum over shards.
@@ -272,17 +271,556 @@ pub struct ControlOutcome {
     pub popularity: Vec<f64>,
 }
 
-/// One control shard's raw results, pre-merge.
-struct ShardOut {
-    report: Option<ControlReport>,
-    /// Served-request latencies, minutes (sorted within the shard).
+/// A shard's counters and served-latency population, raw: the merge sums
+/// them across shards and summarizes the latencies once.
+#[derive(Debug, Default)]
+struct Tally {
+    served_broadcast: usize,
+    served_pool: usize,
+    defected: usize,
+    rejected: usize,
+    deferred: usize,
+    swaps_planned: usize,
+    swaps_committed: usize,
+    /// Served-request latencies, minutes (sorted once the shard has run).
     latencies: Vec<f64>,
+    res: ResilienceOutcome,
+}
+
+impl Tally {
+    /// Add another shard's tally. Every shard replayed the same restart
+    /// epochs, so that one counter takes the max rather than the sum.
+    fn absorb(&mut self, other: &Tally) {
+        self.served_broadcast += other.served_broadcast;
+        self.served_pool += other.served_pool;
+        self.defected += other.defected;
+        self.rejected += other.rejected;
+        self.deferred += other.deferred;
+        self.swaps_planned += other.swaps_planned;
+        self.swaps_committed += other.swaps_committed;
+        self.latencies.extend_from_slice(&other.latencies);
+        let (res, o) = (&mut self.res, &other.res);
+        res.outages += o.outages;
+        res.reallocations += o.reallocations;
+        res.repaired_sessions += o.repaired_sessions;
+        res.redirected += o.redirected;
+        res.retries += o.retries;
+        res.backoff_rejects += o.backoff_rejects;
+        res.churned += o.churned;
+        res.restarts = res.restarts.max(o.restarts);
+        res.stall_minutes += o.stall_minutes;
+        res.skipped_minutes += o.skipped_minutes;
+        res.degraded_minutes += o.degraded_minutes;
+    }
+}
+
+/// One shard's raw results, pre-merge.
+struct ShardResult {
+    tally: Tally,
+    /// The committed hot set at the end of the run, as shard-local titles
+    /// in local slot order.
+    final_hot: Vec<usize>,
     /// End-of-run estimator scores, indexed by shard-local title.
     scores: Vec<f64>,
     stats: EngineStats,
     snapshot: Snapshot,
-    ops: Option<OpLog>,
-    err: Option<SchemeError>,
+}
+
+/// The title space split across `S` sub-servers. With one shard it is
+/// the identity: the sub-server is sized exactly like the whole server
+/// and every local id equals its global id.
+struct Partition {
+    /// Per shard, its sized sub-server.
+    sims: Vec<ControlledSim>,
+    /// Per shard, its titles' global ids in ascending order (a title's
+    /// position here is its local id).
+    titles_of: Vec<Vec<usize>>,
+    /// Per global title, its `(shard, local id)`.
+    local_of: Vec<(usize, usize)>,
+}
+
+/// What one shard reads of the run: the caller's whole request slice and
+/// fault script, of which it plays only what it owns.
+#[derive(Clone, Copy)]
+struct ShardView<'a> {
+    shard: usize,
+    shards: usize,
+    requests: &'a [WorkloadRequest],
+    local_of: &'a [(usize, usize)],
+    script: &'a FaultScript,
+    policy: ControlPolicy,
+    degradation: Degradation,
+}
+
+/// One shard's event-loop state. Each [`Ev`] kind has its own handler.
+struct ShardState<'a> {
+    sim: &'a ControlledSim,
+    view: ShardView<'a>,
+    scale: TickScale,
+    est: PopularityEstimator,
+    alloc: ChannelAllocator,
+    adm: AdmissionControl,
+    /// Idle pool channels.
+    free: usize,
+    /// Per local title, its waiters in arrival order.
+    queues: Vec<Vec<Waiter>>,
+    total_queued: usize,
+    /// In-flight broadcast sessions per local slot, for outage repair.
+    active: Vec<Vec<BroadcastSession>>,
+    tally: Tally,
+}
+
+impl<'a> ShardState<'a> {
+    fn new(sim: &'a ControlledSim, view: ShardView<'a>) -> Self {
+        let cfg = &sim.cfg;
+        let initial: Vec<usize> = (0..cfg.hot_slots).collect();
+        let mut adm = AdmissionControl::new(cfg.admission_ceiling);
+        adm.retry = cfg.admission_retry;
+        Self {
+            sim,
+            view,
+            scale: TickScale::default(),
+            est: PopularityEstimator::new(cfg.titles, cfg.half_life),
+            alloc: ChannelAllocator::new(&initial, sim.d1, cfg.hysteresis),
+            adm,
+            free: sim.pool,
+            queues: vec![Vec::new(); cfg.titles],
+            total_queued: 0,
+            active: vec![Vec::new(); cfg.hot_slots],
+            tally: Tally::default(),
+        }
+    }
+
+    fn at_ticks(&self, minutes: f64) -> Ticks {
+        Ticks::ZERO + self.scale.duration_from_minutes(Minutes(minutes))
+    }
+
+    /// Request `idx` of the caller's slice and its shard-local title.
+    fn request(&self, idx: usize) -> (&'a WorkloadRequest, usize) {
+        let requests = self.view.requests;
+        let r = &requests[idx];
+        (r, self.view.local_of[r.video].1)
+    }
+
+    /// Run the shard's events to exhaustion; returns the engine's
+    /// statistics.
+    fn run(&mut self, rec: &mut dyn Recorder) -> EngineStats {
+        let mut eng: Engine<Ev> = Engine::new();
+        self.schedule(&mut eng);
+        eng.run(|eng, at, ev| self.handle_event(eng, at, ev, rec));
+
+        // Every queue drains before the agenda does: a busy channel always
+        // has a PoolDone ahead, and each PoolDone re-dispatches.
+        debug_assert_eq!(self.total_queued, 0, "waiters left queued after exhaustion");
+        self.tally.defected += self.total_queued; // defensive: account for them anyway
+                                                  // Sorted on the shard's worker, so the merge's sort only has to
+                                                  // combine presorted runs.
+        self.tally.latencies.sort_by(f64::total_cmp);
+
+        let stats = eng.stats();
+        rec.incr(
+            "engine_events_total",
+            &[("kind", "scheduled")],
+            stats.scheduled,
+        );
+        rec.incr("engine_events_total", &[("kind", "fired")], stats.fired);
+        rec.incr(
+            "engine_events_total",
+            &[("kind", "cancelled")],
+            stats.cancelled,
+        );
+        stats
+    }
+
+    /// Schedule the shard's arrivals (in slice order, keyed by global
+    /// index), its control ticks, the outages of the slots it owns, and
+    /// every server-wide restart and churn wave.
+    fn schedule(&self, eng: &mut Engine<Ev>) {
+        let v = self.view;
+        let mut horizon = 0.0_f64;
+        for (idx, r) in v.requests.iter().enumerate() {
+            if v.local_of[r.video].0 == v.shard {
+                eng.schedule_at(self.at_ticks(r.at.value()), Ev::Arrive { idx, attempt: 0 });
+                horizon = horizon.max(r.at.value());
+            }
+        }
+        let tick = self.sim.cfg.tick.value();
+        let mut t = tick;
+        while t <= horizon {
+            eng.schedule_at(self.at_ticks(t), Ev::Tick);
+            t += tick;
+        }
+        for (idx, o) in v.script.outages.iter().enumerate() {
+            if o.channel % v.shards == v.shard {
+                eng.schedule_at(self.at_ticks(o.start.value()), Ev::OutageStart { idx });
+                eng.schedule_at(self.at_ticks(o.end().value()), Ev::OutageEnd { idx });
+            }
+        }
+        for r in &v.script.restarts {
+            eng.schedule_at(self.at_ticks(r.value()), Ev::Restart);
+        }
+        for (idx, c) in v.script.churn.iter().enumerate() {
+            eng.schedule_at(self.at_ticks(c.at.value()), Ev::Churn { idx });
+        }
+    }
+
+    fn handle_event(&mut self, eng: &mut Engine<Ev>, at: Ticks, ev: Ev, rec: &mut dyn Recorder) {
+        let engine_now = self.scale.minutes(TickDuration(at.0)).value();
+        match ev {
+            Ev::Arrive { idx, attempt } => self.on_arrive(eng, engine_now, idx, attempt, rec),
+            Ev::PoolDone => {
+                self.free += 1;
+                self.dispatch(eng, engine_now, rec);
+            }
+            Ev::Tick => self.on_tick(Minutes(engine_now), rec),
+            Ev::OutageStart { idx } => self.on_outage_start(idx, engine_now, rec),
+            Ev::OutageEnd { idx } => {
+                let o = &self.view.script.outages[idx];
+                self.alloc
+                    .restore(o.channel / self.view.shards, Minutes(engine_now));
+                self.tally.res.reallocations += 1;
+                rec.incr("control_reallocations_total", &[("kind", "restored")], 1);
+            }
+            Ev::Restart => self.on_restart(rec),
+            Ev::Churn { idx } => self.on_churn(idx, rec),
+        }
+    }
+
+    /// Commit the swaps that have matured by `now`.
+    fn commit_matured(&mut self, now: Minutes, rec: &mut dyn Recorder) {
+        let matured = self.alloc.commit_matured(now).len();
+        if matured > 0 {
+            self.tally.swaps_committed += matured;
+            rec.incr(
+                "control_reallocations_total",
+                &[("kind", "committed")],
+                matured as u64,
+            );
+        }
+    }
+
+    /// Request `idx` arrives; `attempt` counts the admission retries
+    /// already behind it (0 = fresh arrival).
+    fn on_arrive(
+        &mut self,
+        eng: &mut Engine<Ev>,
+        engine_now: f64,
+        idx: usize,
+        attempt: u32,
+        rec: &mut dyn Recorder,
+    ) {
+        let (r, video) = self.request(idx);
+        let fresh = attempt == 0;
+        // Fresh arrivals use the exact arrival time; retries use the
+        // (tick-rounded) engine clock.
+        let now = if fresh { r.at.value() } else { engine_now };
+        self.commit_matured(Minutes(now), rec);
+        if fresh {
+            self.est.observe(r.at, video);
+            let vl = video.to_string();
+            rec.incr("control_requests_total", &[("video", &vl)], 1);
+        }
+        let deadline = r.at.value() + r.patience.value();
+        if let Some(slot) = self.alloc.slot_of(video) {
+            self.serve_broadcast(slot, now, r.at.value(), deadline, rec);
+        } else if now > deadline {
+            // A retry that outlived its patience.
+            self.tally.defected += 1;
+            rec.incr("control_defections_total", &[("class", "pool")], 1);
+        } else {
+            if fresh && self.alloc.slot_of_any(video).is_some() {
+                // Hot but dark: redirected to the pool.
+                self.tally.res.redirected += 1;
+                rec.incr("resilience_redirected_total", &[], 1);
+            }
+            self.admit(eng, idx, attempt, now, deadline, rec);
+        }
+    }
+
+    /// Broadcast service on local `slot`: wait for the slot's next
+    /// first-fragment cycle, slipping whole cycles past burst-lost first
+    /// fragments, boundedly. Burst loss is drawn on the slot's global
+    /// index, so every slot keeps the single server's loss pattern.
+    fn serve_broadcast(
+        &mut self,
+        slot: usize,
+        now: f64,
+        arrival: f64,
+        deadline: f64,
+        rec: &mut dyn Recorder,
+    ) {
+        let d1 = self.sim.d1.value();
+        let v = self.view;
+        let global_slot = slot * v.shards + v.shard;
+        let mut start = now + self.alloc.wait_for(slot, Minutes(now)).value();
+        let mut slips = 0u64;
+        while slips < MAX_SLIPS
+            && v.script.bursts.iter().any(|b| {
+                start >= b.start.value()
+                    && start < b.end().value()
+                    && b.loss.is_lost(global_slot, (start / d1) as u64)
+            })
+        {
+            start += d1;
+            slips += 1;
+        }
+        if slips > 0 {
+            rec.incr("resilience_burst_slips_total", &[], slips);
+        }
+        if start > deadline {
+            self.tally.defected += 1;
+            rec.incr("control_defections_total", &[("class", "broadcast")], 1);
+        } else {
+            let wait = start - arrival;
+            self.tally.served_broadcast += 1;
+            self.tally.latencies.push(wait);
+            rec.observe("control_latency_minutes", &[("class", "broadcast")], wait);
+            self.active[slot].push(BroadcastSession {
+                start,
+                end: start + self.sim.video_length.value(),
+            });
+        }
+    }
+
+    /// Put request `idx` through admission control into its pool queue.
+    fn admit(
+        &mut self,
+        eng: &mut Engine<Ev>,
+        idx: usize,
+        attempt: u32,
+        now: f64,
+        deadline: f64,
+        rec: &mut dyn Recorder,
+    ) {
+        let (r, video) = self.request(idx);
+        let pool = self.sim.pool;
+        match self
+            .adm
+            .decide(pool - self.free, self.total_queued, pool, attempt)
+        {
+            AdmissionDecision::Admit => {
+                let w = Waiter {
+                    arrival: r.at.value(),
+                    deadline,
+                };
+                // Keep the queue sorted by arrival so FCFS sees the true
+                // head even after retries.
+                let pos = self.queues[video].partition_point(|x| x.arrival <= w.arrival);
+                self.queues[video].insert(pos, w);
+                self.total_queued += 1;
+                self.dispatch(eng, now, rec);
+            }
+            AdmissionDecision::Defer(delay) => {
+                let retry_at = now + delay.value();
+                if retry_at < deadline {
+                    self.tally.deferred += 1;
+                    self.tally.res.retries += 1;
+                    rec.incr("control_deferrals_total", &[], 1);
+                    eng.schedule_at(
+                        self.at_ticks(retry_at),
+                        Ev::Arrive {
+                            idx,
+                            attempt: attempt + 1,
+                        },
+                    );
+                } else {
+                    self.tally.rejected += 1;
+                    rec.incr("control_rejected_total", &[], 1);
+                }
+            }
+            AdmissionDecision::Reject => {
+                if attempt > 0 {
+                    // Backoff budget exhausted, not a plain over-ceiling
+                    // turn-away.
+                    self.tally.res.backoff_rejects += 1;
+                    rec.incr("resilience_backoff_rejects_total", &[], 1);
+                }
+                self.tally.rejected += 1;
+                rec.incr("control_rejected_total", &[], 1);
+            }
+        }
+    }
+
+    /// Purge reneged waiters, then serve batches while channels and
+    /// candidates last.
+    fn dispatch(&mut self, eng: &mut Engine<Ev>, now: f64, rec: &mut dyn Recorder) {
+        for q in &mut self.queues {
+            let before = q.len();
+            q.retain(|w| w.deadline >= now);
+            let gone = before - q.len();
+            if gone > 0 {
+                self.total_queued -= gone;
+                self.tally.defected += gone;
+                rec.incr(
+                    "control_defections_total",
+                    &[("class", "pool")],
+                    gone as u64,
+                );
+            }
+        }
+        while self.free > 0 {
+            let views: Vec<Vec<Pending>> = self
+                .queues
+                .iter()
+                .map(|q| {
+                    q.iter()
+                        .map(|w| Pending {
+                            arrival: Minutes(w.arrival),
+                        })
+                        .collect()
+                })
+                .collect();
+            let Some(v) = self.sim.cfg.batch.choose(&views) else {
+                break;
+            };
+            let q = core::mem::take(&mut self.queues[v]);
+            self.total_queued -= q.len();
+            self.free -= 1;
+            let vl = v.to_string();
+            rec.incr("control_batches_total", &[("video", &vl)], 1);
+            for w in q {
+                let wait = now - w.arrival;
+                self.tally.served_pool += 1;
+                self.tally.latencies.push(wait);
+                rec.observe("control_latency_minutes", &[("class", "pool")], wait);
+            }
+            eng.schedule_at(
+                self.at_ticks(now + self.sim.video_length.value()),
+                Ev::PoolDone,
+            );
+        }
+    }
+
+    /// The periodic control event: commit matured swaps and, under
+    /// [`ControlPolicy::Dynamic`], plan new ones.
+    fn on_tick(&mut self, now: Minutes, rec: &mut dyn Recorder) {
+        self.commit_matured(now, rec);
+        if self.view.policy == ControlPolicy::Dynamic {
+            let planned = self.alloc.plan(now, self.est.scores()).len();
+            if planned > 0 {
+                self.tally.swaps_planned += planned;
+                rec.incr(
+                    "control_reallocations_total",
+                    &[("kind", "planned")],
+                    planned as u64,
+                );
+            }
+        }
+        rec.gauge_max("control_peak_queue_depth", &[], self.total_queued as f64);
+        rec.gauge_max(
+            "control_peak_pool_busy",
+            &[],
+            (self.sim.pool - self.free) as f64,
+        );
+    }
+
+    /// Outage `idx` of the fault script takes its slot dark.
+    fn on_outage_start(&mut self, idx: usize, now: f64, rec: &mut dyn Recorder) {
+        let o = &self.view.script.outages[idx];
+        let slot = o.channel / self.view.shards;
+        let res = &mut self.tally.res;
+        res.outages += 1;
+        res.reallocations += 1;
+        rec.incr("resilience_outages_total", &[], 1);
+        if self.alloc.out_of_service(slot).is_some() {
+            // A swap in flight on the failed slot is aborted.
+            res.reallocations += 1;
+            rec.incr(
+                "control_reallocations_total",
+                &[("kind", "outage-cancelled")],
+                1,
+            );
+        }
+        // Repair every in-flight session the dark window cuts into: the
+        // lost delivery time is resolved per the degradation policy, and
+        // the session still completes.
+        let o_start = o.start.value();
+        let o_end = o.end().value();
+        self.active[slot].retain(|s| s.end > now);
+        for s in &mut self.active[slot] {
+            let overlap = (s.end.min(o_end) - s.start.max(o_start)).max(0.0);
+            if overlap <= 0.0 {
+                continue;
+            }
+            res.repaired_sessions += 1;
+            rec.incr("resilience_repaired_sessions_total", &[], 1);
+            repair(s, overlap, self.view.degradation, res, rec);
+        }
+    }
+
+    /// Server restart epoch: pending swaps are cancelled and the
+    /// estimator starts over.
+    fn on_restart(&mut self, rec: &mut dyn Recorder) {
+        let cancelled = self.alloc.cancel_all_pending();
+        self.est = PopularityEstimator::new(self.sim.cfg.titles, self.sim.cfg.half_life);
+        self.tally.res.restarts += 1;
+        self.tally.res.reallocations += cancelled;
+        rec.incr("resilience_restarts_total", &[], 1);
+        if cancelled > 0 {
+            rec.incr(
+                "control_reallocations_total",
+                &[("kind", "restart-cancelled")],
+                cancelled as u64,
+            );
+        }
+    }
+
+    /// Churn event `idx`: a seeded fraction of the waiting clients
+    /// abandon.
+    fn on_churn(&mut self, idx: usize, rec: &mut dyn Recorder) {
+        let c = &self.view.script.churn[idx];
+        let mut rng = SmallRng::seed_from_u64(c.seed);
+        let mut gone = 0usize;
+        // Queues are walked in title order, waiters in arrival order: the
+        // draw sequence is deterministic.
+        for q in &mut self.queues {
+            let before = q.len();
+            q.retain(|_| rng.gen::<f64>() >= c.fraction);
+            gone += before - q.len();
+        }
+        if gone > 0 {
+            self.total_queued -= gone;
+            self.tally.defected += gone;
+            self.tally.res.churned += gone;
+            rec.incr("resilience_churned_total", &[], gone as u64);
+            rec.incr(
+                "control_defections_total",
+                &[("class", "churn")],
+                gone as u64,
+            );
+        }
+    }
+}
+
+/// Resolve `overlap` minutes of an outage cut into session `s` per the
+/// degradation policy.
+fn repair(
+    s: &mut BroadcastSession,
+    overlap: f64,
+    degradation: Degradation,
+    res: &mut ResilienceOutcome,
+    rec: &mut dyn Recorder,
+) {
+    let policy = &[("policy", degradation.label())];
+    match degradation {
+        Degradation::Stall => {
+            s.end += overlap;
+            res.stall_minutes += overlap;
+            rec.observe("resilience_stall_minutes", policy, overlap);
+        }
+        Degradation::SkipSegment => {
+            res.skipped_minutes += overlap;
+            rec.observe("resilience_skipped_minutes", policy, overlap);
+        }
+        Degradation::QualityDrop => {
+            let half = overlap / 2.0;
+            s.end += half;
+            res.stall_minutes += half;
+            res.degraded_minutes += half;
+            rec.observe("resilience_stall_minutes", policy, half);
+            rec.observe("resilience_degraded_minutes", policy, half);
+        }
+    }
 }
 
 /// The controlled hybrid simulation (see [module docs](self)).
@@ -304,42 +842,48 @@ impl ControlledSim {
     ///
     /// # Errors
     /// [`SchemeError::InvalidConfig`] on a malformed configuration (slot
-    /// or title counts, broadcast fraction, tick period), and the usual
+    /// or title counts, broadcast fraction, tick period, estimator
+    /// half-life, hysteresis margin, admission ceiling), and the usual
     /// bandwidth errors when the broadcast fraction cannot sustain one SB
     /// channel per slot or leaves an empty pool.
     pub fn new(cfg: ControlConfig, catalog: &Catalog) -> Result<Self> {
-        if cfg.titles == 0 || cfg.hot_slots == 0 || cfg.hot_slots > cfg.titles {
-            return Err(SchemeError::InvalidConfig {
-                what: "need 0 < hot_slots <= titles",
-            });
-        }
         if cfg.titles > catalog.len() {
             return Err(SchemeError::InvalidConfig {
                 what: "catalog smaller than configured title count",
             });
         }
-        let v0 = catalog.get(0).expect("non-empty catalog");
+        let Some(v0) = catalog.get(0) else {
+            return Err(SchemeError::InvalidConfig {
+                what: "empty catalog",
+            });
+        };
         Self::sized(cfg, v0.length, v0.display_rate)
     }
 
     /// Size a server for `cfg` from the title parameters directly, with
-    /// no catalog in hand — the constructor the sharded executor uses
-    /// for its per-shard sub-servers.
+    /// no catalog in hand — the one constructor that validates a
+    /// [`ControlConfig`], used for the whole server and for each shard's
+    /// sub-server.
     fn sized(cfg: ControlConfig, video_length: Minutes, display_rate: Mbps) -> Result<Self> {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        let invalid = |what| Err(SchemeError::InvalidConfig { what });
         if cfg.titles == 0 || cfg.hot_slots == 0 || cfg.hot_slots > cfg.titles {
-            return Err(SchemeError::InvalidConfig {
-                what: "need 0 < hot_slots <= titles",
-            });
+            return invalid("need 0 < hot_slots <= titles");
         }
         if !(cfg.broadcast_fraction > 0.0 && cfg.broadcast_fraction < 1.0) {
-            return Err(SchemeError::InvalidConfig {
-                what: "broadcast fraction must be in (0, 1)",
-            });
+            return invalid("broadcast fraction must be in (0, 1)");
         }
-        if !(cfg.tick.value() > 0.0 && cfg.tick.value().is_finite()) {
-            return Err(SchemeError::InvalidConfig {
-                what: "control tick period must be positive and finite",
-            });
+        if !positive(cfg.tick.value()) {
+            return invalid("control tick period must be positive and finite");
+        }
+        if !positive(cfg.half_life.value()) {
+            return invalid("estimator half-life must be positive and finite");
+        }
+        if !(cfg.hysteresis >= 0.0 && cfg.hysteresis.is_finite()) {
+            return invalid("hysteresis margin must be non-negative and finite");
+        }
+        if !positive(cfg.admission_ceiling) {
+            return invalid("admission ceiling must be positive and finite");
         }
         let sb_cfg = SystemConfig {
             server_bandwidth: Mbps(cfg.total_bandwidth.value() * cfg.broadcast_fraction),
@@ -382,500 +926,39 @@ impl ControlledSim {
         self.pool
     }
 
-    /// The single-server core behind every public entry point: runs the
-    /// event loop and returns, besides the report, the raw material the
-    /// sharded merge needs — the sorted served-latency population, the
-    /// end-of-run estimator scores, and the engine statistics.
-    #[allow(clippy::too_many_lines)]
-    fn run_faults_core(
-        &self,
-        requests: &[WorkloadRequest],
-        policy: ControlPolicy,
-        script: &FaultScript,
-        degradation: Degradation,
-        rec: &mut dyn Recorder,
-    ) -> Result<(ControlReport, Vec<f64>, Vec<f64>, EngineStats)> {
-        script.validate()?;
-        if script
-            .outages
-            .iter()
-            .any(|o| o.channel >= self.cfg.hot_slots)
-        {
-            return Err(SchemeError::InvalidConfig {
-                what: "fault script outage names a broadcast slot the config does not have",
-            });
-        }
-
-        let scale = TickScale::default();
-        let at_ticks = |m: f64| Ticks::ZERO + scale.duration_from_minutes(Minutes(m));
-
-        let mut est = PopularityEstimator::new(self.cfg.titles, self.cfg.half_life);
-        let initial: Vec<usize> = (0..self.cfg.hot_slots).collect();
-        let mut alloc = ChannelAllocator::new(&initial, self.d1, self.cfg.hysteresis);
-        let mut adm = AdmissionControl::new(self.cfg.admission_ceiling);
-        adm.retry = self.cfg.admission_retry;
-
-        let mut eng: Engine<Ev> = Engine::new();
-        let mut horizon = 0.0_f64;
-        for (idx, r) in requests.iter().enumerate() {
-            eng.schedule_at(at_ticks(r.at.value()), Ev::Arrive { idx, attempt: 0 });
-            horizon = horizon.max(r.at.value());
-        }
-        let tick = self.cfg.tick.value();
-        let mut t = tick;
-        while t <= horizon {
-            eng.schedule_at(at_ticks(t), Ev::Tick);
-            t += tick;
-        }
-        for (idx, o) in script.outages.iter().enumerate() {
-            eng.schedule_at(at_ticks(o.start.value()), Ev::OutageStart { idx });
-            eng.schedule_at(at_ticks(o.end().value()), Ev::OutageEnd { idx });
-        }
-        for r in &script.restarts {
-            eng.schedule_at(at_ticks(r.value()), Ev::Restart);
-        }
-        for (idx, c) in script.churn.iter().enumerate() {
-            eng.schedule_at(at_ticks(c.at.value()), Ev::Churn { idx });
-        }
-
-        // Pool state.
-        let mut free = self.pool;
-        let mut queues: Vec<Vec<Waiter>> = vec![Vec::new(); self.cfg.titles];
-        let mut total_queued = 0usize;
-
-        // In-flight broadcast sessions per slot, for outage repair.
-        let mut active: Vec<Vec<BroadcastSession>> = vec![Vec::new(); self.cfg.hot_slots];
-
-        // Outcome accumulators.
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut served_broadcast = 0usize;
-        let mut served_pool = 0usize;
-        let mut defected = 0usize;
-        let mut rejected = 0usize;
-        let mut deferred = 0usize;
-        let mut swaps_planned = 0usize;
-        let mut swaps_committed = 0usize;
-        let mut res = ResilienceOutcome::default();
-
-        let video_length = self.video_length.value();
-        let d1 = self.d1.value();
-        let pool = self.pool;
-        let batch = self.cfg.batch;
-        let policy_label = degradation.label();
-
-        // Purge reneged waiters, then serve batches while channels and
-        // candidates last. Defined as a closure-shaped helper so both
-        // Arrive and PoolDone share it.
-        let dispatch = |eng: &mut Engine<Ev>,
-                        now: f64,
-                        free: &mut usize,
-                        queues: &mut Vec<Vec<Waiter>>,
-                        total_queued: &mut usize,
-                        served_pool: &mut usize,
-                        defected: &mut usize,
-                        latencies: &mut Vec<f64>,
-                        rec: &mut dyn Recorder| {
-            for q in queues.iter_mut() {
-                let before = q.len();
-                q.retain(|w| w.deadline >= now);
-                let gone = before - q.len();
-                if gone > 0 {
-                    *total_queued -= gone;
-                    *defected += gone;
-                    rec.incr(
-                        "control_defections_total",
-                        &[("class", "pool")],
-                        gone as u64,
-                    );
-                }
-            }
-            while *free > 0 {
-                let views: Vec<Vec<Pending>> = queues
-                    .iter()
-                    .map(|q| {
-                        q.iter()
-                            .map(|w| Pending {
-                                arrival: Minutes(w.arrival),
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let Some(v) = batch.choose(&views) else { break };
-                let q = core::mem::take(&mut queues[v]);
-                *total_queued -= q.len();
-                *free -= 1;
-                let vl = v.to_string();
-                rec.incr("control_batches_total", &[("video", &vl)], 1);
-                for w in q {
-                    let wait = now - w.arrival;
-                    *served_pool += 1;
-                    latencies.push(wait);
-                    rec.observe("control_latency_minutes", &[("class", "pool")], wait);
-                }
-                eng.schedule_at(
-                    Ticks::ZERO + scale.duration_from_minutes(Minutes(now + video_length)),
-                    Ev::PoolDone,
-                );
-            }
-        };
-
-        eng.run(|eng, at, ev| {
-            let engine_now = scale.minutes(TickDuration(at.0)).value();
-            match ev {
-                Ev::Arrive { idx, attempt } => {
-                    let r = &requests[idx];
-                    let fresh = attempt == 0;
-                    // Fresh arrivals use the exact arrival time; retries
-                    // use the (tick-rounded) engine clock.
-                    let now = if fresh { r.at.value() } else { engine_now };
-                    let matured = alloc.commit_matured(Minutes(now)).len();
-                    if matured > 0 {
-                        swaps_committed += matured;
-                        rec.incr(
-                            "control_reallocations_total",
-                            &[("kind", "committed")],
-                            matured as u64,
-                        );
-                    }
-                    if fresh {
-                        est.observe(r.at, r.video);
-                        let vl = r.video.to_string();
-                        rec.incr("control_requests_total", &[("video", &vl)], 1);
-                    }
-                    let deadline = r.at.value() + r.patience.value();
-                    if let Some(slot) = alloc.slot_of(r.video) {
-                        // Broadcast service: wait for the slot's next
-                        // first-fragment cycle — slipping whole cycles
-                        // past burst-lost first fragments, boundedly.
-                        let mut start = now + alloc.wait_for(slot, Minutes(now)).value();
-                        let mut slips = 0u64;
-                        while slips < MAX_SLIPS
-                            && script.bursts.iter().any(|b| {
-                                start >= b.start.value()
-                                    && start < b.end().value()
-                                    && b.loss.is_lost(slot, (start / d1) as u64)
-                            })
-                        {
-                            start += d1;
-                            slips += 1;
-                        }
-                        if slips > 0 {
-                            rec.incr("resilience_burst_slips_total", &[], slips);
-                        }
-                        if start > deadline {
-                            defected += 1;
-                            rec.incr("control_defections_total", &[("class", "broadcast")], 1);
-                        } else {
-                            let wait = start - r.at.value();
-                            served_broadcast += 1;
-                            latencies.push(wait);
-                            rec.observe("control_latency_minutes", &[("class", "broadcast")], wait);
-                            active[slot].push(BroadcastSession {
-                                start,
-                                end: start + video_length,
-                            });
-                        }
-                    } else if now > deadline {
-                        // A retry that outlived its patience.
-                        defected += 1;
-                        rec.incr("control_defections_total", &[("class", "pool")], 1);
-                    } else {
-                        if fresh && alloc.slot_of_any(r.video).is_some() {
-                            // Hot but dark: redirected to the pool.
-                            res.redirected += 1;
-                            rec.incr("resilience_redirected_total", &[], 1);
-                        }
-                        match adm.decide(pool - free, total_queued, pool, attempt) {
-                            AdmissionDecision::Admit => {
-                                let w = Waiter {
-                                    arrival: r.at.value(),
-                                    deadline,
-                                };
-                                // Keep the queue sorted by arrival so FCFS
-                                // sees the true head even after retries.
-                                let pos =
-                                    queues[r.video].partition_point(|x| x.arrival <= w.arrival);
-                                queues[r.video].insert(pos, w);
-                                total_queued += 1;
-                                dispatch(
-                                    eng,
-                                    now,
-                                    &mut free,
-                                    &mut queues,
-                                    &mut total_queued,
-                                    &mut served_pool,
-                                    &mut defected,
-                                    &mut latencies,
-                                    rec,
-                                );
-                            }
-                            AdmissionDecision::Defer(delay) => {
-                                let retry_at = now + delay.value();
-                                if retry_at < deadline {
-                                    deferred += 1;
-                                    res.retries += 1;
-                                    rec.incr("control_deferrals_total", &[], 1);
-                                    eng.schedule_at(
-                                        at_ticks(retry_at),
-                                        Ev::Arrive {
-                                            idx,
-                                            attempt: attempt + 1,
-                                        },
-                                    );
-                                } else {
-                                    rejected += 1;
-                                    rec.incr("control_rejected_total", &[], 1);
-                                }
-                            }
-                            AdmissionDecision::Reject => {
-                                if attempt > 0 {
-                                    // Backoff budget exhausted, not a
-                                    // plain over-ceiling turn-away.
-                                    res.backoff_rejects += 1;
-                                    rec.incr("resilience_backoff_rejects_total", &[], 1);
-                                }
-                                rejected += 1;
-                                rec.incr("control_rejected_total", &[], 1);
-                            }
-                        }
-                    }
-                }
-                Ev::PoolDone => {
-                    free += 1;
-                    dispatch(
-                        eng,
-                        engine_now,
-                        &mut free,
-                        &mut queues,
-                        &mut total_queued,
-                        &mut served_pool,
-                        &mut defected,
-                        &mut latencies,
-                        rec,
-                    );
-                }
-                Ev::Tick => {
-                    let now = Minutes(engine_now);
-                    let matured = alloc.commit_matured(now).len();
-                    if matured > 0 {
-                        swaps_committed += matured;
-                        rec.incr(
-                            "control_reallocations_total",
-                            &[("kind", "committed")],
-                            matured as u64,
-                        );
-                    }
-                    if policy == ControlPolicy::Dynamic {
-                        let planned = alloc.plan(now, est.scores()).len();
-                        if planned > 0 {
-                            swaps_planned += planned;
-                            rec.incr(
-                                "control_reallocations_total",
-                                &[("kind", "planned")],
-                                planned as u64,
-                            );
-                        }
-                    }
-                    rec.gauge_max("control_peak_queue_depth", &[], total_queued as f64);
-                    rec.gauge_max("control_peak_pool_busy", &[], (pool - free) as f64);
-                }
-                Ev::OutageStart { idx } => {
-                    let o = &script.outages[idx];
-                    let now = engine_now;
-                    res.outages += 1;
-                    res.reallocations += 1;
-                    rec.incr("resilience_outages_total", &[], 1);
-                    if alloc.out_of_service(o.channel).is_some() {
-                        // A swap in flight on the failed slot is aborted.
-                        res.reallocations += 1;
-                        rec.incr(
-                            "control_reallocations_total",
-                            &[("kind", "outage-cancelled")],
-                            1,
-                        );
-                    }
-                    // Repair every in-flight session the dark window cuts
-                    // into: the lost delivery time is resolved per the
-                    // degradation policy, and the session still completes.
-                    let o_start = o.start.value();
-                    let o_end = o.end().value();
-                    active[o.channel].retain(|s| s.end > now);
-                    for s in &mut active[o.channel] {
-                        let overlap = (s.end.min(o_end) - s.start.max(o_start)).max(0.0);
-                        if overlap <= 0.0 {
-                            continue;
-                        }
-                        res.repaired_sessions += 1;
-                        rec.incr("resilience_repaired_sessions_total", &[], 1);
-                        match degradation {
-                            Degradation::Stall => {
-                                s.end += overlap;
-                                res.stall_minutes += overlap;
-                                rec.observe(
-                                    "resilience_stall_minutes",
-                                    &[("policy", policy_label)],
-                                    overlap,
-                                );
-                            }
-                            Degradation::SkipSegment => {
-                                res.skipped_minutes += overlap;
-                                rec.observe(
-                                    "resilience_skipped_minutes",
-                                    &[("policy", policy_label)],
-                                    overlap,
-                                );
-                            }
-                            Degradation::QualityDrop => {
-                                let half = overlap / 2.0;
-                                s.end += half;
-                                res.stall_minutes += half;
-                                res.degraded_minutes += half;
-                                rec.observe(
-                                    "resilience_stall_minutes",
-                                    &[("policy", policy_label)],
-                                    half,
-                                );
-                                rec.observe(
-                                    "resilience_degraded_minutes",
-                                    &[("policy", policy_label)],
-                                    half,
-                                );
-                            }
-                        }
-                    }
-                }
-                Ev::OutageEnd { idx } => {
-                    let o = &script.outages[idx];
-                    alloc.restore(o.channel, Minutes(engine_now));
-                    res.reallocations += 1;
-                    rec.incr("control_reallocations_total", &[("kind", "restored")], 1);
-                }
-                Ev::Restart => {
-                    let cancelled = alloc.cancel_all_pending();
-                    est = PopularityEstimator::new(self.cfg.titles, self.cfg.half_life);
-                    res.restarts += 1;
-                    res.reallocations += cancelled;
-                    rec.incr("resilience_restarts_total", &[], 1);
-                    if cancelled > 0 {
-                        rec.incr(
-                            "control_reallocations_total",
-                            &[("kind", "restart-cancelled")],
-                            cancelled as u64,
-                        );
-                    }
-                }
-                Ev::Churn { idx } => {
-                    let c = &script.churn[idx];
-                    let mut rng = SmallRng::seed_from_u64(c.seed);
-                    let mut gone = 0usize;
-                    // Queues are walked in title order, waiters in arrival
-                    // order: the draw sequence is deterministic.
-                    for q in queues.iter_mut() {
-                        let before = q.len();
-                        q.retain(|_| rng.gen::<f64>() >= c.fraction);
-                        gone += before - q.len();
-                    }
-                    if gone > 0 {
-                        total_queued -= gone;
-                        defected += gone;
-                        res.churned += gone;
-                        rec.incr("resilience_churned_total", &[], gone as u64);
-                        rec.incr(
-                            "control_defections_total",
-                            &[("class", "churn")],
-                            gone as u64,
-                        );
-                    }
-                }
-            }
-        });
-
-        // Every queue drains before the agenda does: a busy channel always
-        // has a PoolDone ahead, and each PoolDone re-dispatches.
-        debug_assert_eq!(total_queued, 0, "waiters left queued after exhaustion");
-        defected += total_queued; // defensive: account for them anyway
-
-        let stats = eng.stats();
-        rec.incr(
-            "engine_events_total",
-            &[("kind", "scheduled")],
-            stats.scheduled,
-        );
-        rec.incr("engine_events_total", &[("kind", "fired")], stats.fired);
-        rec.incr(
-            "engine_events_total",
-            &[("kind", "cancelled")],
-            stats.cancelled,
-        );
-
-        latencies.sort_by(f64::total_cmp);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let pct = |p: f64| -> f64 {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                let i = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len());
-                latencies[i - 1]
-            }
-        };
-
-        let report = ControlReport {
-            policy,
-            requests: requests.len(),
-            served_broadcast,
-            served_pool,
-            defected,
-            rejected,
-            deferred,
-            swaps_planned,
-            swaps_committed,
-            mean_latency: Minutes(mean),
-            p95_latency: Minutes(pct(0.95)),
-            worst_latency: Minutes(latencies.last().copied().unwrap_or(0.0)),
-            final_hot: alloc.hot_videos(),
-            broadcast_channels: self.broadcast_channels,
-            pool_channels: self.pool,
-            cycle: self.d1,
-            resilience: res,
-        };
-        Ok((report, latencies, est.scores().to_vec(), stats))
-    }
-
     /// Execute `cfg` under `policy` — the single entry point subsuming
     /// the deprecated `run` / `run_with_faults` variants and adding
     /// partitioned scale-out.
     ///
-    /// With `shards(1)` (the default) this is exactly the historical
-    /// single-server run, bit for bit. With `shards(S)` the title space
-    /// is partitioned across `S` sub-servers — broadcast slot `i` goes to
+    /// Every shard count takes one path: partition the titles, run each
+    /// shard, merge in shard order. With `shards(S)` the title space is
+    /// partitioned across `S` sub-servers — broadcast slot `i` goes to
     /// shard `i % S`, cold titles by the seeded [`shard_of`] hash unless
     /// the config's `partition` slot covers them (a scenario's region
     /// table then keeps each region's cold tail on its region's shard) —
-    /// each
-    /// with `hot_slots / S`-proportional bandwidth, its own allocator,
-    /// estimator, admission control and batching pool, run concurrently
-    /// on the deterministic pool and merged in shard order. The sharded
-    /// run is a *partitioned system model* (each shard batches and
-    /// admits over its own pool), so its report differs from `shards(1)`
-    /// by design; for a fixed `S` it is byte-identical for every thread
-    /// count.
+    /// each with `hot_slots / S`-proportional bandwidth, its own
+    /// allocator, estimator, admission control and batching pool, run
+    /// concurrently on the deterministic pool. `shards(1)` (the default)
+    /// is the one-shard partition: the whole server, bit for bit. The
+    /// sharded run is a *partitioned system model* (each shard batches
+    /// and admits over its own pool), so its report differs from
+    /// `shards(1)` by design; for a fixed `S` it is byte-identical for
+    /// every thread count.
     ///
-    /// Slot semantics: the `recorder` slot receives the per-shard metric
-    /// streams replayed in shard order; the `sink` slot is ignored (the
-    /// control plane produces no session traces); the `faults` slot
-    /// carries a [`ControlFaults`] bundle — outages are routed to the
-    /// owning shard, restarts and churn waves reach every shard, and
-    /// burst-loss episodes apply to each shard's local slot indices.
+    /// Slot semantics: the `recorder` slot receives the metric stream —
+    /// live with one shard, replayed per shard in shard order with more;
+    /// the `sink` slot is ignored (the control plane produces no session
+    /// traces); the `faults` slot carries a [`ControlFaults`] bundle —
+    /// outages are routed to the owning shard, restarts and churn waves
+    /// reach every shard, and burst-loss episodes are drawn on each
+    /// slot's global index, as on the single server.
     ///
     /// # Errors
     /// [`SchemeError::InvalidConfig`] on an invalid fault script, an
-    /// outage naming a missing slot, or `shards` exceeding `hot_slots`;
-    /// sizing errors if a shard's bandwidth share cannot sustain its
-    /// broadcast half plus a non-empty pool.
+    /// outage naming a missing slot, a request naming a title outside
+    /// the catalog, or `shards` exceeding `hot_slots`; sizing errors if a
+    /// shard's bandwidth share cannot sustain its broadcast half plus a
+    /// non-empty pool.
     pub fn execute<F: IntoControlFaults>(
         &self,
         policy: ControlPolicy,
@@ -897,77 +980,76 @@ impl ControlledSim {
             Some(f) => f.resolve(&quiet),
             None => (&quiet, Degradation::Stall),
         };
-        if shards == 1 {
-            let mut reg = Registry::new();
-            let (report, _, scores, stats) = match recorder {
-                Some(user) => {
-                    let mut tee = TeeRecorder {
-                        a: &mut reg,
-                        b: user,
-                    };
-                    self.run_faults_core(requests, policy, script, degradation, &mut tee)?
-                }
-                None => self.run_faults_core(requests, policy, script, degradation, &mut reg)?,
-            };
-            return Ok(ControlOutcome {
-                summary: report,
-                shard_peak_agenda: vec![stats.peak_agenda],
-                stats,
-                snapshot: reg.snapshot(),
-                popularity: scores,
-            });
-        }
-        self.execute_sharded(
-            policy,
-            requests,
-            recorder,
-            (shards, threads, seed, partition),
-            script,
-            degradation,
-        )
-    }
-
-    /// The partitioned path behind [`ControlledSim::execute`];
-    /// `(shards, threads, seed, partition)` are the scale-out knobs off
-    /// the [`RunConfig`] plus its scenario slot
-    /// (the cold-title owning-shard table).
-    #[allow(clippy::too_many_lines)]
-    fn execute_sharded(
-        &self,
-        policy: ControlPolicy,
-        requests: &[WorkloadRequest],
-        recorder: Option<&mut dyn Recorder>,
-        (shards, threads, seed, partition): (usize, usize, u64, Option<&[usize]>),
-        script: &FaultScript,
-        degradation: Degradation,
-    ) -> Result<ControlOutcome> {
-        let m = self.cfg.hot_slots;
-        if shards > m {
+        if shards > self.cfg.hot_slots {
             return Err(SchemeError::InvalidConfig {
                 what: "more shards than broadcast slots",
             });
         }
         script.validate()?;
-        if script.outages.iter().any(|o| o.channel >= m) {
+        if script
+            .outages
+            .iter()
+            .any(|o| o.channel >= self.cfg.hot_slots)
+        {
             return Err(SchemeError::InvalidConfig {
                 what: "fault script outage names a broadcast slot the config does not have",
             });
         }
+        let part = self.partition(shards, seed, partition)?;
+        // Every shard routes arrivals through `local_of[r.video]`.
+        if requests.iter().any(|r| r.video >= self.cfg.titles) {
+            return Err(SchemeError::InvalidConfig {
+                what: "request names a title outside the catalog",
+            });
+        }
 
-        // Partition the title space. Broadcast slot (= hot title) `i`
-        // goes to shard `i % S` and, because titles are visited in
-        // ascending order, lands on local ids `0..k_s` — exactly the
-        // sub-server's initial hot set. Cold titles follow the scenario
-        // slot's owning-shard table when it covers them, otherwise the
-        // seeded `shard_of` hash; hot slots must stay `i % S` because the
-        // sub-server bandwidth shares are sized off that stride.
+        let view = |shard| ShardView {
+            shard,
+            shards,
+            requests,
+            local_of: &part.local_of,
+            script,
+            policy,
+            degradation,
+        };
+        // One shard tees the caller's recorder live, buffering nothing.
+        let outs = if shards == 1 {
+            vec![part.sims[0].run_shard(view(0), recorder)]
+        } else {
+            // The recorder cannot be shared across workers: each shard
+            // buffers its stream, replayed below in shard order.
+            let want_ops = recorder.is_some();
+            let runs = parallel_map(threads, "control-shards", &part.sims, |s, sim| {
+                let mut ops = want_ops.then(OpLog::new);
+                let out = sim.run_shard(view(s), ops.as_mut().map(|l| l as &mut dyn Recorder));
+                (out, ops)
+            });
+            if let Some(rec) = recorder {
+                for log in runs.iter().filter_map(|(_, ops)| ops.as_ref()) {
+                    log.replay(rec);
+                }
+            }
+            runs.into_iter().map(|(out, _)| out).collect()
+        };
+        Ok(self.merge(&part, policy, requests.len(), &outs))
+    }
+
+    /// Split the title space across `shards` sub-servers. Broadcast slot
+    /// (= hot title) `i` goes to shard `i % S` and, because titles are
+    /// visited in ascending order, lands on local ids `0..k_s` — exactly
+    /// the sub-server's initial hot set. Cold titles follow the scenario
+    /// slot's owning-shard `table` when it covers them, otherwise the
+    /// seeded `shard_of` hash; hot slots must stay `i % S` because the
+    /// sub-server bandwidth shares are sized off that stride.
+    fn partition(&self, shards: usize, seed: u64, table: Option<&[usize]>) -> Result<Partition> {
+        let m = self.cfg.hot_slots;
         let mut titles_of: Vec<Vec<usize>> = vec![Vec::new(); shards];
         let mut local_of: Vec<(usize, usize)> = Vec::with_capacity(self.cfg.titles);
         for t in 0..self.cfg.titles {
             let s = if t < m {
                 t % shards
             } else {
-                match partition.and_then(|map| map.get(t)) {
+                match table.and_then(|map| map.get(t)) {
                     Some(&owner) => owner % shards,
                     None => shard_of(t as u64, seed, shards),
                 }
@@ -975,210 +1057,135 @@ impl ControlledSim {
             local_of.push((s, titles_of[s].len()));
             titles_of[s].push(t);
         }
-
-        // Size the sub-servers: shard `s` owns `k_s` of the `m` slots
-        // and gets the proportional bandwidth share, so its per-video
-        // broadcast bandwidth — and with it `D₁` — matches the whole
-        // server's.
-        let mut sims = Vec::with_capacity(shards);
-        for (s, shard_titles) in titles_of.iter().enumerate() {
-            let k_s = (0..m).filter(|i| i % shards == s).count();
-            let cfg_s = ControlConfig {
-                titles: shard_titles.len(),
-                hot_slots: k_s,
-                total_bandwidth: Mbps(self.cfg.total_bandwidth.value() * (k_s as f64 / m as f64)),
-                ..self.cfg
-            };
-            sims.push(Self::sized(cfg_s, self.video_length, self.display_rate)?);
-        }
-
-        // Route requests and outages to the owning shard; restarts and
-        // churn waves are server-wide and reach every shard.
-        let mut shard_reqs: Vec<Vec<WorkloadRequest>> = vec![Vec::new(); shards];
-        for r in requests {
-            let (s, local) = local_of[r.video];
-            shard_reqs[s].push(WorkloadRequest { video: local, ..*r });
-        }
-        let mut scripts: Vec<FaultScript> = (0..shards)
-            .map(|_| FaultScript {
-                restarts: script.restarts.clone(),
-                bursts: script.bursts.clone(),
-                churn: script.churn.clone(),
-                ..FaultScript::none()
+        // Shard `s` owns `k_s` of the `m` slots and gets the proportional
+        // bandwidth share, so its per-video broadcast bandwidth — and with
+        // it `D₁` — matches the whole server's (`k_s = m` at one shard,
+        // where the share is exactly the whole bandwidth).
+        let sims = titles_of
+            .iter()
+            .enumerate()
+            .map(|(s, shard_titles)| {
+                let k_s = (0..m).filter(|i| i % shards == s).count();
+                let cfg_s = ControlConfig {
+                    titles: shard_titles.len(),
+                    hot_slots: k_s,
+                    total_bandwidth: Mbps(
+                        self.cfg.total_bandwidth.value() * (k_s as f64 / m as f64),
+                    ),
+                    ..self.cfg
+                };
+                Self::sized(cfg_s, self.video_length, self.display_rate)
             })
-            .collect();
-        for o in &script.outages {
-            let mut routed = *o;
-            routed.channel = o.channel / shards;
-            scripts[o.channel % shards].outages.push(routed);
-        }
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Partition {
+            sims,
+            titles_of,
+            local_of,
+        })
+    }
 
-        let want_ops = recorder.is_some();
-        let inputs: Vec<usize> = (0..shards).collect();
-        let mut outs: Vec<ShardOut> = parallel_map(threads, "control-shards", &inputs, |_, &s| {
-            let mut reg = Registry::new();
-            let mut ops = want_ops.then(OpLog::new);
-            let result = match ops.as_mut() {
-                Some(log) => {
-                    let mut tee = TeeRecorder {
-                        a: &mut reg,
-                        b: log,
-                    };
-                    sims[s].run_faults_core(
-                        &shard_reqs[s],
-                        policy,
-                        &scripts[s],
-                        degradation,
-                        &mut tee,
-                    )
-                }
-                None => sims[s].run_faults_core(
-                    &shard_reqs[s],
-                    policy,
-                    &scripts[s],
-                    degradation,
-                    &mut reg,
-                ),
-            };
-            match result {
-                Ok((report, latencies, scores, stats)) => ShardOut {
-                    report: Some(report),
-                    latencies,
-                    scores,
-                    stats,
-                    snapshot: reg.snapshot(),
-                    ops,
-                    err: None,
-                },
-                Err(e) => ShardOut {
-                    report: None,
-                    latencies: Vec::new(),
-                    scores: Vec::new(),
-                    stats: EngineStats::default(),
-                    snapshot: reg.snapshot(),
-                    ops,
-                    err: Some(e),
-                },
-            }
-        });
-        for out in &mut outs {
-            if let Some(e) = out.err.take() {
-                return Err(e);
-            }
-        }
-
-        // Merge, in shard order throughout. Counters add; the latency
-        // population concatenates and re-sorts; every shard replayed the
-        // same restart epochs, so that one counter takes the max rather
-        // than the sum.
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut summary = ControlReport {
-            policy,
-            requests: requests.len(),
-            served_broadcast: 0,
-            served_pool: 0,
-            defected: 0,
-            rejected: 0,
-            deferred: 0,
-            swaps_planned: 0,
-            swaps_committed: 0,
-            mean_latency: Minutes(0.0),
-            p95_latency: Minutes(0.0),
-            worst_latency: Minutes(0.0),
-            final_hot: vec![0; m],
-            broadcast_channels: 0,
-            pool_channels: 0,
-            cycle: sims[0].d1,
-            resilience: ResilienceOutcome::default(),
+    /// Run one shard (`self` is its sub-server) into a private registry,
+    /// teeing every metric into `user` when given.
+    fn run_shard(&self, view: ShardView<'_>, user: Option<&mut dyn Recorder>) -> ShardResult {
+        let mut reg = Registry::new();
+        let mut state = ShardState::new(self, view);
+        let stats = match user {
+            Some(user) => state.run(&mut TeeRecorder {
+                a: &mut reg,
+                b: user,
+            }),
+            None => state.run(&mut reg),
         };
+        ShardResult {
+            final_hot: state.alloc.hot_videos(),
+            scores: state.est.scores().to_vec(),
+            tally: state.tally,
+            stats,
+            snapshot: reg.snapshot(),
+        }
+    }
+
+    /// Merge the shards' results, in shard order throughout: tallies,
+    /// engine statistics and snapshots add, the latency population
+    /// concatenates and is summarized once, and the hot sets and
+    /// estimator scores map back to global titles.
+    fn merge(
+        &self,
+        part: &Partition,
+        policy: ControlPolicy,
+        requests: usize,
+        outs: &[ShardResult],
+    ) -> ControlOutcome {
+        let shards = outs.len();
+        let mut tally = Tally::default();
         let mut stats = EngineStats::default();
         let mut shard_peak_agenda = Vec::with_capacity(shards);
         let mut snapshot = Snapshot::default();
-        for out in &outs {
-            let r = out.report.as_ref().expect("errors returned above");
-            summary.served_broadcast += r.served_broadcast;
-            summary.served_pool += r.served_pool;
-            summary.defected += r.defected;
-            summary.rejected += r.rejected;
-            summary.deferred += r.deferred;
-            summary.swaps_planned += r.swaps_planned;
-            summary.swaps_committed += r.swaps_committed;
-            summary.broadcast_channels += r.broadcast_channels;
-            summary.pool_channels += r.pool_channels;
-            let res = &mut summary.resilience;
-            res.outages += r.resilience.outages;
-            res.reallocations += r.resilience.reallocations;
-            res.repaired_sessions += r.resilience.repaired_sessions;
-            res.redirected += r.resilience.redirected;
-            res.retries += r.resilience.retries;
-            res.backoff_rejects += r.resilience.backoff_rejects;
-            res.churned += r.resilience.churned;
-            res.restarts = res.restarts.max(r.resilience.restarts);
-            res.stall_minutes += r.resilience.stall_minutes;
-            res.skipped_minutes += r.resilience.skipped_minutes;
-            res.degraded_minutes += r.resilience.degraded_minutes;
-            latencies.extend_from_slice(&out.latencies);
-            stats.scheduled += out.stats.scheduled;
-            stats.fired += out.stats.fired;
-            stats.cancelled += out.stats.cancelled;
-            stats.compactions += out.stats.compactions;
-            stats.peak_agenda = stats.peak_agenda.max(out.stats.peak_agenda);
+        for out in outs {
+            tally.absorb(&out.tally);
+            stats.absorb(&out.stats);
             shard_peak_agenda.push(out.stats.peak_agenda);
             snapshot.merge(&out.snapshot);
         }
-        for (i, slot) in summary.final_hot.iter_mut().enumerate() {
-            let s = i % shards;
-            let local_hot = out_report(&outs, s).final_hot[i / shards];
-            *slot = titles_of[s][local_hot];
-        }
+        let final_hot = (0..self.cfg.hot_slots)
+            .map(|i| {
+                let s = i % shards;
+                part.titles_of[s][outs[s].final_hot[i / shards]]
+            })
+            .collect();
+        let popularity = part
+            .local_of
+            .iter()
+            .map(|&(s, local)| outs[s].scores[local])
+            .collect();
 
+        let latencies = &mut tally.latencies;
         latencies.sort_by(f64::total_cmp);
-        summary.mean_latency = Minutes(if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        });
-        summary.p95_latency = Minutes(if latencies.is_empty() {
-            0.0
-        } else {
-            let i = ((latencies.len() as f64 * 0.95).ceil() as usize).clamp(1, latencies.len());
-            latencies[i - 1]
-        });
-        summary.worst_latency = Minutes(latencies.last().copied().unwrap_or(0.0));
-
-        let mut popularity = vec![0.0; self.cfg.titles];
-        for (t, score) in popularity.iter_mut().enumerate() {
-            let (s, local) = local_of[t];
-            *score = outs[s].scores[local];
-        }
-
-        if let Some(rec) = recorder {
-            for out in &outs {
-                if let Some(log) = &out.ops {
-                    log.replay(rec);
-                }
+        let (mean, p95, worst) = match latencies.last() {
+            None => (0.0, 0.0, 0.0),
+            Some(&worst) => {
+                let n = latencies.len();
+                let i = ((n as f64 * 0.95).ceil() as usize).clamp(1, n);
+                (
+                    latencies.iter().sum::<f64>() / n as f64,
+                    latencies[i - 1],
+                    worst,
+                )
             }
-        }
-
-        Ok(ControlOutcome {
+        };
+        let summary = ControlReport {
+            policy,
+            requests,
+            served_broadcast: tally.served_broadcast,
+            served_pool: tally.served_pool,
+            defected: tally.defected,
+            rejected: tally.rejected,
+            deferred: tally.deferred,
+            swaps_planned: tally.swaps_planned,
+            swaps_committed: tally.swaps_committed,
+            mean_latency: Minutes(mean),
+            p95_latency: Minutes(p95),
+            worst_latency: Minutes(worst),
+            final_hot,
+            broadcast_channels: part.sims.iter().map(|s| s.broadcast_channels).sum(),
+            pool_channels: part.sims.iter().map(|s| s.pool).sum(),
+            cycle: part.sims[0].d1,
+            resilience: tally.res,
+        };
+        ControlOutcome {
             summary,
             stats,
             shard_peak_agenda,
             snapshot,
             popularity,
-        })
+        }
     }
-}
-
-/// Shard `s`'s report, post-error-check.
-fn out_report(outs: &[ShardOut], s: usize) -> &ControlReport {
-    outs[s].report.as_ref().expect("errors returned above")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_resilience::{ChannelOutage, ChurnEvent};
+    use sb_resilience::{BurstEpisode, ChannelOutage, ChurnEvent, GilbertElliott};
     use sb_workload::{Patience, PoissonArrivals, PopularityShift, ZipfPopularity};
 
     fn shifted_workload(
@@ -1381,6 +1388,57 @@ mod tests {
             ..ControlConfig::paper_defaults(Mbps(300.0))
         };
         assert!(ControlledSim::new(bad_fraction, &catalog).is_err());
+        let defaults = ControlConfig::paper_defaults(Mbps(300.0));
+        for bad in [
+            ControlConfig {
+                half_life: Minutes(0.0),
+                ..defaults
+            },
+            ControlConfig {
+                half_life: Minutes(f64::INFINITY),
+                ..defaults
+            },
+            ControlConfig {
+                hysteresis: -1.0,
+                ..defaults
+            },
+            ControlConfig {
+                hysteresis: f64::NAN,
+                ..defaults
+            },
+            ControlConfig {
+                admission_ceiling: 0.0,
+                ..defaults
+            },
+            ControlConfig {
+                admission_ceiling: f64::INFINITY,
+                ..defaults
+            },
+        ] {
+            assert!(
+                matches!(
+                    ControlledSim::new(bad, &catalog),
+                    Err(SchemeError::InvalidConfig { .. })
+                ),
+                "{bad:?} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_catalog_titles_error_at_every_shard_count() {
+        let sim = sim(300.0);
+        let mut reqs = shifted_workload(40, 3.0, 100.0, 50.0, 5, 1);
+        reqs[7].video = 40;
+        for shards in [1, 4] {
+            let err = sim
+                .execute(ControlPolicy::Static, RunConfig::new(&reqs).shards(shards))
+                .unwrap_err();
+            assert!(
+                matches!(err, SchemeError::InvalidConfig { .. }),
+                "S={shards}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1597,6 +1655,92 @@ mod tests {
         assert_eq!(res.outages, 1, "outage lands on exactly one shard");
         assert_eq!(res.restarts, 1, "server-wide restart counted once");
         assert_eq!(out.summary.accounted(), reqs.len());
+    }
+
+    #[test]
+    fn burst_loss_is_drawn_on_global_slots_at_every_shard_count() {
+        // Static policy, no outages: every slot keeps phase 0 and the
+        // shards' D₁ equals the whole server's, so whether a broadcast
+        // admission slips depends only on (global slot, arrival, D₁).
+        let sim = sim(300.0);
+        let reqs = shifted_workload(40, 6.0, 400.0, 200.0, 13, 5);
+        let script = FaultScript {
+            bursts: vec![BurstEpisode {
+                start: Minutes(80.0),
+                duration: Minutes(200.0),
+                loss: GilbertElliott::burst(4.0, 6.0, 0.9, 21).unwrap(),
+            }],
+            ..FaultScript::none()
+        };
+        let slips = |shards: usize| {
+            let out = sim
+                .execute(
+                    ControlPolicy::Static,
+                    RunConfig::new(&reqs).shards(shards).faults(ControlFaults {
+                        script: &script,
+                        degradation: Degradation::Stall,
+                    }),
+                )
+                .unwrap();
+            assert_eq!(out.summary.cycle, sim.cycle(), "S={shards}");
+            out.snapshot
+                .counter("resilience_burst_slips_total", "")
+                .expect("bursts slipped some admissions")
+        };
+        let serial = slips(1);
+        assert!(serial > 0);
+        for shards in [2, 4, 8] {
+            assert_eq!(slips(shards), serial, "S={shards}");
+        }
+    }
+
+    #[test]
+    fn recorder_slot_receives_the_outcome_metrics() {
+        use sb_metrics::MetricValue;
+        let sim = sim(300.0);
+        let reqs = shifted_workload(40, 5.0, 400.0, 200.0, 13, 5);
+        for shards in [1, 4] {
+            let mut reg = Registry::new();
+            let out = sim
+                .execute(
+                    ControlPolicy::Dynamic,
+                    RunConfig::new(&reqs)
+                        .shards(shards)
+                        .threads(2)
+                        .recorder(&mut reg),
+                )
+                .unwrap();
+            let seen = reg.snapshot();
+            if shards == 1 {
+                assert_eq!(
+                    serde_json::to_string(&seen).unwrap(),
+                    serde_json::to_string(&out.snapshot).unwrap()
+                );
+                continue;
+            }
+            // Replayed per shard, the recorder adds histogram sums in a
+            // different order than the merge does: counts must agree,
+            // sums may differ in the last bits.
+            let names = |s: &Snapshot| {
+                s.families
+                    .iter()
+                    .map(|f| f.name.clone())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(names(&seen), names(&out.snapshot));
+            for (a, b) in seen.families.iter().zip(&out.snapshot.families) {
+                assert_eq!(a.series.len(), b.series.len(), "{}", a.name);
+                for (x, y) in a.series.iter().zip(&b.series) {
+                    assert_eq!(x.labels, y.labels, "{}", a.name);
+                    match (&x.value, &y.value) {
+                        (MetricValue::Histogram(p), MetricValue::Histogram(q)) => {
+                            assert_eq!((p.count, &p.counts), (q.count, &q.counts), "{}", a.name);
+                        }
+                        (p, q) => assert_eq!(p, q, "{}{{{}}}", a.name, x.labels),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,19 @@ pub struct EngineStats {
     pub wheel: WheelStats,
 }
 
+impl EngineStats {
+    /// Add one more shard's counters: event counts sum and `peak_agenda`
+    /// keeps the maximum (the largest single agenda anywhere). The wheel
+    /// counters describe a backend, not the run, and are left alone.
+    pub fn absorb(&mut self, shard: &EngineStats) {
+        self.scheduled += shard.scheduled;
+        self.fired += shard.fired;
+        self.cancelled += shard.cancelled;
+        self.compactions += shard.compactions;
+        self.peak_agenda = self.peak_agenda.max(shard.peak_agenda);
+    }
+}
+
 impl serde::Serialize for EngineStats {
     fn serialize(&self) -> serde::Value {
         let u = |v: &u64| serde::Serialize::serialize(v);

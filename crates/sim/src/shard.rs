@@ -3,13 +3,18 @@
 //!
 //! The paper sizes Skyscraper Broadcasting for a single server; the
 //! scalable-VoD line of work in `PAPERS.md` partitions the catalog
-//! across many. This module is that partitioned regime for every
-//! executor behind [`RunConfig`]: the catalog (and with it the arrival
-//! stream) is split by a seeded, stable hash of the video id, each
-//! shard runs its own engine + [`StreamingFold`] + metrics registry on
-//! the deterministic scoped pool, and the per-shard results are merged
-//! **in a canonical order** so that the outcome is bitwise identical
-//! for any shard count and any thread count.
+//! across many. This module is that partitioned regime for
+//! [`SystemSim::execute`] and for the crash-recovery supervisor that
+//! drives [`SystemSim::run_shard`] and [`merge_shard_runs`]: the catalog
+//! (and with it the arrival stream) is split by a seeded, stable hash of
+//! the video id, each shard runs its own engine + [`StreamingFold`] +
+//! metrics registry on the deterministic scoped pool, and the per-shard
+//! results are merged **in a canonical order**, through one merge tail,
+//! so that the outcome is bitwise identical for any shard count and any
+//! thread count. The control plane (`sb_control::ControlledSim`) also
+//! takes a [`RunConfig`] but partitions its own title space with
+//! [`shard_of`], as a partitioned system model whose report depends on
+//! the shard count by design.
 //!
 //! The determinism argument, in three parts (pinned by the
 //! `shard_invariance` proptest and `scripts/verify.sh`):
@@ -51,13 +56,13 @@ use sb_metrics::{OpLog, Recorder, Registry, Snapshot, TeeRecorder};
 use vod_units::{Mbits, Minutes};
 
 use crate::agenda::MinQueue;
+use crate::checkpoint::ShardRun;
 use crate::engine::EngineStats;
 use crate::policy::PolicyError;
 use crate::pool::parallel_map;
 use crate::run::{RunConfig, RunOutcome};
 use crate::sink::{CollectTraces, NullSink, StreamingFold, TeeSink, TraceSink};
 use crate::system::{Request, SystemReport, SystemSim};
-use crate::trace::SessionTrace;
 
 /// The shard owning `key` (a video id) under `seed`, for `shards`
 /// servers: a full-avalanche splitmix64 finalizer, so consecutive video
@@ -175,16 +180,6 @@ pub fn plan_shards(
         slices[s].global_idx.push(i);
     }
     slices
-}
-
-/// One shard's raw results, pre-merge.
-struct ShardOut {
-    scalars: Vec<SessionScalars>,
-    snapshot: Snapshot,
-    stats: EngineStats,
-    ops: Option<OpLog>,
-    traces: Option<Vec<SessionTrace>>,
-    err: Option<PolicyError>,
 }
 
 /// Attribute a merge inconsistency to its shard and run label.
@@ -348,15 +343,13 @@ fn merge_snapshots<'a>(
     Ok(snapshot)
 }
 
-/// Merge completed [`ShardRun`](crate::checkpoint::ShardRun)s — from the
-/// crash-recovery supervisor or
+/// Merge completed [`ShardRun`]s — from the crash-recovery supervisor or
 /// any other caller of [`SystemSim::run_shard`] — into a [`RunOutcome`],
-/// performing the identical ordered replay `execute` uses, so a
-/// supervised (killed, resumed, retried) run's outcome is byte-identical
-/// to an uninterrupted `execute` of the same `RunConfig`.
+/// through the same merge tail a sharded `execute` uses, so a supervised
+/// (killed, resumed, retried) run's outcome is byte-identical to an
+/// uninterrupted `execute` of the same `RunConfig`.
 ///
-/// `runs` pairs each [`ShardRun`](crate::checkpoint::ShardRun) with its
-/// shard index; any subset of a
+/// `runs` pairs each [`ShardRun`] with its shard index; any subset of a
 /// run's shards may be merged (the supervisor's graceful-degradation
 /// path merges the survivors), in any order — merging is canonicalized
 /// by shard index internally. `label` names the experiment for error
@@ -366,7 +359,7 @@ fn merge_snapshots<'a>(
 /// [`PolicyError::ShardMerge`] when the per-shard streams are
 /// inconsistent; never panics on untrusted shard output.
 pub fn merge_shard_runs(
-    mut runs: Vec<(usize, crate::checkpoint::ShardRun)>,
+    mut runs: Vec<(usize, ShardRun)>,
     label: &str,
 ) -> Result<RunOutcome, PolicyError> {
     runs.sort_by_key(|&(s, _)| s);
@@ -379,21 +372,28 @@ pub fn merge_shard_runs(
             ));
         }
     }
+    merge_runs(&runs, label, |_, _| Ok(()))
+}
+
+/// The merge tail every sharded path shares: the ordered replay, then the
+/// engine statistics and snapshots in shard order. `runs` is sorted by
+/// shard index; `on_session` is [`replay_merge`]'s per-session hook.
+fn merge_runs(
+    runs: &[(usize, ShardRun)],
+    label: &str,
+    on_session: impl FnMut(usize, usize) -> Result<(), PolicyError>,
+) -> Result<RunOutcome, PolicyError> {
     let streams: Vec<(usize, &[SessionScalars])> = runs
         .iter()
         .map(|(s, r)| (*s, r.scalars.as_slice()))
         .collect();
-    let (summary, fold) = replay_merge(&streams, label, |_, _| Ok(()))?;
+    let (summary, fold) = replay_merge(&streams, label, on_session)?;
 
     let mut stats = EngineStats::default();
     let mut shard_peak_agenda = Vec::with_capacity(runs.len());
     let mut shard_sessions = Vec::with_capacity(runs.len());
-    for (_, r) in &runs {
-        stats.scheduled += r.stats.scheduled;
-        stats.fired += r.stats.fired;
-        stats.cancelled += r.stats.cancelled;
-        stats.compactions += r.stats.compactions;
-        stats.peak_agenda = stats.peak_agenda.max(r.stats.peak_agenda);
+    for (_, r) in runs {
+        stats.absorb(&r.stats);
         shard_peak_agenda.push(r.stats.peak_agenda);
         shard_sessions.push(r.scalars.len());
     }
@@ -484,18 +484,20 @@ impl SystemSim<'_> {
     }
 
     /// The partitioned path: one engine per shard on the deterministic
-    /// pool, then the ordered-replay merge described in the module docs.
+    /// pool, each packaged as a [`ShardRun`], then the ordered-replay
+    /// merge tail [`merge_shard_runs`] uses. On top of it come the user
+    /// slots: the trace sink is fed each session during the replay, and
+    /// the recorder gets each shard's buffered metric stream afterwards.
     fn execute_sharded(
         &self,
         parts: crate::run::RunParts<'_, Request, ()>,
     ) -> Result<RunOutcome, PolicyError> {
         const LABEL: &str = "sim-shards";
-        let shards = parts.shards;
-        let slices = plan_shards(parts.requests, shards, parts.seed, parts.partition);
+        let slices = plan_shards(parts.requests, parts.shards, parts.seed, parts.partition);
 
         let want_ops = parts.recorder.is_some();
         let want_traces = parts.sink.is_some();
-        let outs: Vec<ShardOut> = parallel_map(parts.threads, LABEL, &slices, |_, slice| {
+        let outs = parallel_map(parts.threads, LABEL, &slices, |s, slice| {
             let mut reg = Registry::new();
             let mut ops = want_ops.then(OpLog::new);
             let mut collect = want_traces.then(CollectTraces::new);
@@ -506,7 +508,7 @@ impl SystemSim<'_> {
                 None => &mut null_sink,
             };
             let reqs = slice.requests();
-            let result = match ops.as_mut() {
+            let (report, stats) = match ops.as_mut() {
                 Some(log) => {
                     let mut tee = TeeRecorder {
                         a: &mut reg,
@@ -515,85 +517,50 @@ impl SystemSim<'_> {
                     self.run_core(reqs, &mut tee, sink, Some(&mut scalars))
                 }
                 None => self.run_core(reqs, &mut reg, sink, Some(&mut scalars)),
-            };
+            }?;
             for sc in &mut scalars {
                 sc.idx = slice.global_idx()[sc.idx];
             }
-            let (stats, err) = match result {
-                Ok((_, stats)) => (stats, None),
-                Err(e) => (EngineStats::default(), Some(e)),
-            };
-            ShardOut {
+            let run = ShardRun {
+                report,
+                stats,
                 scalars,
                 snapshot: reg.snapshot(),
-                stats,
-                ops,
-                traces: collect.map(|c| c.traces),
-                err,
-            }
+                checkpoints_taken: 0,
+            };
+            Ok(((s, run), (ops, collect.map(|c| c.traces))))
         });
-        if let Some(e) = outs.iter().find_map(|o| o.err.clone()) {
-            return Err(e);
-        }
+        let (runs, extras): (Vec<_>, Vec<_>) = outs
+            .into_iter()
+            .collect::<Result<Vec<_>, PolicyError>>()?
+            .into_iter()
+            .unzip();
 
         // Ordered replay: k-way merge by (arrival tick, global index)
         // reconstructs the unsharded engine order exactly, feeding the
         // user's trace sink one session at a time along the way.
-        let streams: Vec<(usize, &[SessionScalars])> = outs
-            .iter()
-            .enumerate()
-            .map(|(s, o)| (s, o.scalars.as_slice()))
-            .collect();
         let mut user_sink = parts.sink;
-        let (summary, fold) = replay_merge(&streams, LABEL, |s, cursor| {
-            if let Some(sink) = user_sink.as_deref_mut() {
-                if let Some(traces) = &outs[s].traces {
-                    let trace = traces.get(cursor).ok_or_else(|| {
-                        merge_err(s, LABEL, "trace stream shorter than scalar stream")
-                    })?;
-                    sink.accept(trace);
-                }
+        let out = merge_runs(&runs, LABEL, |s, cursor| {
+            if let (Some(sink), Some(traces)) = (user_sink.as_deref_mut(), &extras[s].1) {
+                let trace = traces.get(cursor).ok_or_else(|| {
+                    merge_err(s, LABEL, "trace stream shorter than scalar stream")
+                })?;
+                sink.accept(trace);
             }
             Ok(())
         })?;
-        let peak_active = summary.peak_active_sessions;
-
-        let mut stats = EngineStats::default();
-        let mut shard_peak_agenda = Vec::with_capacity(shards);
-        let mut shard_sessions = Vec::with_capacity(shards);
-        for out in &outs {
-            stats.scheduled += out.stats.scheduled;
-            stats.fired += out.stats.fired;
-            stats.cancelled += out.stats.cancelled;
-            stats.compactions += out.stats.compactions;
-            stats.peak_agenda = stats.peak_agenda.max(out.stats.peak_agenda);
-            shard_peak_agenda.push(out.stats.peak_agenda);
-            shard_sessions.push(out.scalars.len());
-        }
-
-        let snapshot = merge_snapshots(
-            outs.iter().enumerate().map(|(s, o)| (s, &o.snapshot)),
-            peak_active,
-            LABEL,
-        )?;
 
         if let Some(rec) = parts.recorder {
-            for out in &outs {
-                if let Some(log) = &out.ops {
-                    log.replay(rec);
-                }
+            for log in extras.iter().filter_map(|(ops, _)| ops.as_ref()) {
+                log.replay(rec);
             }
-            rec.gauge_max("sim_peak_active_sessions", &[], peak_active as f64);
+            rec.gauge_max(
+                "sim_peak_active_sessions",
+                &[],
+                out.summary.peak_active_sessions as f64,
+            );
         }
-
-        Ok(RunOutcome {
-            summary,
-            fold: fold.finish(),
-            stats,
-            shard_peak_agenda,
-            shard_sessions,
-            snapshot,
-        })
+        Ok(out)
     }
 }
 

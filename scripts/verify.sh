@@ -9,8 +9,10 @@ echo "==> cargo build --release --workspace"
 # a root-package build would leave it stale.
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace --release"
+# --workspace: a bare `cargo test` at the root tests only the root
+# package, not the crates' unit tests. --release reuses the build above.
+cargo test -q --workspace --release
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
