@@ -4,9 +4,11 @@
 //! Before this module existed, `sbcast` and the `sb-bench` binaries
 //! each hand-rolled an entry point per study — nine nearly identical
 //! flag-parse / run / render / write-artifact stanzas. A [`Study`] now
-//! owns all of that behind four methods:
+//! owns all of that behind five methods:
 //!
 //! * [`Study::name`] — the subcommand spelling (`sweep`, `frontier`, …),
+//! * [`Study::keys`] — the flags the study reads, so a front end can
+//!   reject any other flag before the study runs,
 //! * [`Study::artifact`] — the default `BENCH_*.json` path, when the
 //!   study emits one unconditionally,
 //! * [`Study::sharded`] — whether `--shards > 1` is meaningful,
@@ -191,6 +193,11 @@ pub trait Study: Sync {
         None
     }
 
+    /// The study-specific flags [`Study::run`] reads (keys without the
+    /// `--`). Front ends reject any other key, apart from the common
+    /// execution flags, before the study runs.
+    fn keys(&self) -> &'static [&'static str];
+
     /// Whether `--shards > 1` is meaningful for this study. Non-sharded
     /// studies reject the flag instead of silently ignoring it.
     fn sharded(&self) -> bool {
@@ -260,6 +267,10 @@ impl Study for SweepStudy {
         "sweep"
     }
 
+    fn keys(&self) -> &'static [&'static str] {
+        &["from", "to", "step", "samples", "scheme"]
+    }
+
     fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
         let o = ctx.opts;
         let from = o.get_f64("from", 100.0)?;
@@ -316,6 +327,17 @@ struct HybridStudy;
 impl Study for HybridStudy {
     fn name(&self) -> &'static str {
         "hybrid"
+    }
+
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "rates",
+            "bandwidth",
+            "titles",
+            "popular",
+            "horizon",
+            "width",
+        ]
     }
 
     fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
@@ -377,6 +399,29 @@ impl Study for ControlStudy {
         "control"
     }
 
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "titles",
+            "popular",
+            "bandwidth",
+            "fraction",
+            "width",
+            "tick",
+            "half-life",
+            "hysteresis",
+            "ceiling",
+            "retry",
+            "retry-factor",
+            "retry-attempts",
+            "rate",
+            "horizon",
+            "shift-at",
+            "rotate",
+            "patience",
+            "seeds",
+        ]
+    }
+
     fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
         let o = ctx.opts;
         let titles = o.get_usize("titles", 40)?;
@@ -416,6 +461,25 @@ impl Study for ResilienceStudy {
         "resilience"
     }
 
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "bandwidth",
+            "horizon",
+            "samples",
+            "burst-len",
+            "loss-rates",
+            "seeds",
+            "outage-channel",
+            "outage-start",
+            "outage-duration",
+            "rate",
+            "patience",
+            "retry",
+            "retry-factor",
+            "retry-attempts",
+        ]
+    }
+
     fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
         let o = ctx.opts;
         let mut cfg = ResilienceStudyConfig::paper_defaults();
@@ -449,6 +513,10 @@ struct ThroughputStudy;
 impl Study for ThroughputStudy {
     fn name(&self) -> &'static str {
         "throughput"
+    }
+
+    fn keys(&self) -> &'static [&'static str] {
+        &["bandwidth", "scheme", "samples", "horizon", "churn-cancels"]
     }
 
     fn artifact(&self) -> Option<&'static str> {
@@ -485,6 +553,10 @@ struct ScaleStudy;
 impl Study for ScaleStudy {
     fn name(&self) -> &'static str {
         "scale"
+    }
+
+    fn keys(&self) -> &'static [&'static str] {
+        &["bandwidth", "sessions", "horizon", "videos"]
     }
 
     fn artifact(&self) -> Option<&'static str> {
@@ -525,6 +597,21 @@ struct ScenarioStudy;
 impl Study for ScenarioStudy {
     fn name(&self) -> &'static str {
         "scenario"
+    }
+
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "profile",
+            "preset",
+            "scheme",
+            "rate",
+            "horizon",
+            "patience",
+            "flash-at",
+            "flash-boost",
+            "outage-start",
+            "outage-duration",
+        ]
     }
 
     fn artifact(&self) -> Option<&'static str> {
@@ -589,6 +676,17 @@ impl Study for RecoveryStudy {
         "recovery"
     }
 
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "profile",
+            "bandwidth",
+            "sessions",
+            "horizon",
+            "titles",
+            "kills",
+        ]
+    }
+
     fn artifact(&self) -> Option<&'static str> {
         Some("BENCH_recovery.json")
     }
@@ -627,6 +725,17 @@ impl Study for FrontierStudy {
         "frontier"
     }
 
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "profile",
+            "bandwidths",
+            "catalogs",
+            "sessions",
+            "horizon",
+            "buggy-hb",
+        ]
+    }
+
     fn artifact(&self) -> Option<&'static str> {
         Some("BENCH_frontier.json")
     }
@@ -660,6 +769,21 @@ struct DistributionStudy;
 impl Study for DistributionStudy {
     fn name(&self) -> &'static str {
         "distribution"
+    }
+
+    fn keys(&self) -> &'static [&'static str] {
+        &[
+            "profile",
+            "preset",
+            "scheme",
+            "policies",
+            "rate",
+            "horizon",
+            "patience",
+            "backbone",
+            "tail-from",
+            "uplink-fraction",
+        ]
     }
 
     fn artifact(&self) -> Option<&'static str> {
@@ -772,6 +896,22 @@ mod tests {
             ["scale", "scenario", "recovery", "frontier", "distribution"]
         );
         assert!(find("plan").is_none(), "non-study subcommands stay out");
+    }
+
+    #[test]
+    fn study_keys_are_distinct_and_leave_the_execution_flags_to_the_ctx() {
+        for s in registry() {
+            let keys = s.keys();
+            assert!(!keys.is_empty(), "{}", s.name());
+            for (i, k) in keys.iter().enumerate() {
+                assert!(!keys[..i].contains(k), "{}: --{k} listed twice", s.name());
+                assert!(
+                    !["threads", "seed", "shards", "json", "manifest", "metrics"].contains(k),
+                    "{}: --{k} arrives through StudyCtx",
+                    s.name()
+                );
+            }
+        }
     }
 
     #[test]

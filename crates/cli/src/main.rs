@@ -46,6 +46,9 @@
 //! result-invariant), `--seed` the workload seed, `--json <path>` writes
 //! the structured report, and `--manifest <path>` writes per-stage
 //! wall-clock timings.
+//!
+//! Every subcommand rejects a flag it does not read, before it runs
+//! anything: a misspelt or retired flag exits nonzero naming the flag.
 
 #![forbid(unsafe_code)]
 
@@ -87,6 +90,29 @@ fn usage() -> &'static str {
 
 struct Opts(HashMap<String, String>);
 
+/// Flags given to a subcommand that does not read them.
+#[derive(Debug)]
+struct UnknownFlags {
+    /// The subcommand.
+    command: String,
+    /// The offending keys (without `--`), sorted.
+    flags: Vec<String>,
+}
+
+impl std::fmt::Display for UnknownFlags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let flags: Vec<String> = self.flags.iter().map(|k| format!("--{k}")).collect();
+        write!(
+            f,
+            "`{}` does not take {} (run `sbcast` without arguments for usage)",
+            self.command,
+            flags.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownFlags {}
+
 impl Opts {
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut map = HashMap::new();
@@ -120,6 +146,24 @@ impl Opts {
             .get(key)
             .cloned()
             .unwrap_or_else(|| default.to_string())
+    }
+
+    /// Reject every key outside the `allowed` lists.
+    fn check_keys(&self, command: &str, allowed: &[&[&str]]) -> Result<(), UnknownFlags> {
+        let mut flags: Vec<String> = self
+            .0
+            .keys()
+            .filter(|k| !allowed.iter().any(|list| list.contains(&k.as_str())))
+            .cloned()
+            .collect();
+        if flags.is_empty() {
+            return Ok(());
+        }
+        flags.sort();
+        Err(UnknownFlags {
+            command: command.to_string(),
+            flags,
+        })
     }
 }
 
@@ -212,6 +256,9 @@ fn cmd_client(opts: &Opts) -> Result<(), String> {
     println!("jitter violations: {}", jv.len());
     Ok(())
 }
+
+/// The keys [`CommonArgs::parse`] reads.
+const COMMON_KEYS: &[&str] = &["threads", "seed", "shards", "json", "manifest"];
 
 /// The execution flags every study subcommand shares — `--threads`,
 /// `--seed`, `--shards`, `--json`, `--manifest` — parsed and
@@ -693,32 +740,89 @@ fn cmd_pausing(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// A resolved subcommand: its handler and the flag lists it reads.
+enum Command {
+    /// A hand-rolled subcommand.
+    Builtin(
+        fn(&Opts) -> Result<(), String>,
+        &'static [&'static [&'static str]],
+    ),
+    /// A registry study, plus the extra keys its dispatch reads.
+    Study(&'static dyn Study, &'static [&'static str]),
+}
+
+/// Resolve `cmd` (and, for the dual-mode subcommands, its mode).
+fn resolve(cmd: &str, opts: &Opts) -> Result<Command, String> {
+    const SCHEME: &[&str] = &["bandwidth", "scheme"];
+    Ok(match cmd {
+        "plan" => Command::Builtin(cmd_plan, &[SCHEME]),
+        "metrics" => Command::Builtin(cmd_metrics, &[SCHEME]),
+        "client" => Command::Builtin(cmd_client, &[SCHEME, &["arrival", "video"]]),
+        // Dual-mode subcommands: the study half goes through the
+        // registry, the other half stays hand-rolled.
+        "hybrid" if !opts.0.contains_key("rates") => Command::Builtin(
+            cmd_hybrid,
+            &[
+                COMMON_KEYS,
+                &["bandwidth", "titles", "popular", "rate", "horizon", "width"],
+            ],
+        ),
+        "recovery" => match opts.get_str("mode", "run").as_str() {
+            "run" => Command::Builtin(
+                cmd_recovery_run,
+                &[
+                    COMMON_KEYS,
+                    &[
+                        "mode",
+                        "bandwidth",
+                        "sessions",
+                        "titles",
+                        "horizon",
+                        "cadence",
+                        "chaos",
+                        "retry",
+                        "retry-factor",
+                        "retry-attempts",
+                        "scheme",
+                    ],
+                ],
+            ),
+            "sweep" => Command::Study(study("recovery"), &["mode"]),
+            mode => return Err(format!("--mode: expected `run` or `sweep`, got `{mode}`")),
+        },
+        "series" => Command::Builtin(cmd_series, &[&["units", "k"]]),
+        "hetero" => Command::Builtin(cmd_hetero, &[&["bandwidth", "width", "lengths"]]),
+        "pausing" => Command::Builtin(cmd_pausing, &[SCHEME, &["arrival"]]),
+        other => match sb_analysis::study::find(other) {
+            Some(study) => Command::Study(study, &[]),
+            None => return Err(format!("unknown command `{other}`\n{}", usage())),
+        },
+    })
+}
+
+/// Check `opts` against the resolved subcommand's flags, then run it.
+fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
+    match resolve(cmd, opts)? {
+        Command::Builtin(run, keys) => {
+            opts.check_keys(cmd, keys).map_err(|e| e.to_string())?;
+            run(opts)
+        }
+        Command::Study(study, extra) => {
+            // `--metrics <path>` is honoured by `run_study` itself.
+            opts.check_keys(cmd, &[COMMON_KEYS, &["metrics"], study.keys(), extra])
+                .map_err(|e| e.to_string())?;
+            run_study(study, opts)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let run = Opts::parse(rest).and_then(|opts| match cmd.as_str() {
-        "plan" => cmd_plan(&opts),
-        "metrics" => cmd_metrics(&opts),
-        "client" => cmd_client(&opts),
-        // Dual-mode subcommands: the study half goes through the
-        // registry, the other half stays hand-rolled.
-        "hybrid" if !opts.0.contains_key("rates") => cmd_hybrid(&opts),
-        "recovery" => match opts.get_str("mode", "run").as_str() {
-            "run" => cmd_recovery_run(&opts),
-            "sweep" => run_study(study("recovery"), &opts),
-            mode => Err(format!("--mode: expected `run` or `sweep`, got `{mode}`")),
-        },
-        "series" => cmd_series(&opts),
-        "hetero" => cmd_hetero(&opts),
-        "pausing" => cmd_pausing(&opts),
-        other => match sb_analysis::study::find(other) {
-            Some(study) => run_study(study, &opts),
-            None => Err(format!("unknown command `{other}`\n{}", usage())),
-        },
-    });
+    let run = Opts::parse(rest).and_then(|opts| dispatch(cmd, &opts));
     match run {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -70,6 +70,54 @@ fn bad_control_knobs_fail_cleanly() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_before_anything_runs() {
+    // Registry studies (including the retired `--agenda`), both modes of
+    // the dual-mode subcommands, and the hand-rolled ones. The offending
+    // flag is always the second-to-last argument.
+    for args in [
+        &["control", "--horizon", "50", "--seeds", "1", "--bogus", "3"][..],
+        &[
+            "control",
+            "--horizon",
+            "50",
+            "--seeds",
+            "1",
+            "--agenda",
+            "wheel",
+        ],
+        &["scale", "--sessions", "10", "--agenda", "heap"],
+        &["hybrid", "--rates", "1", "--bogus", "1"],
+        &["hybrid", "--titles", "4", "--bogus", "1"],
+        &[
+            "recovery",
+            "--mode",
+            "sweep",
+            "--profile",
+            "smoke",
+            "--bogus",
+            "1",
+        ],
+        &["recovery", "--sessions", "10", "--bogus", "1"],
+        &["plan", "--threads", "2"],
+        &["client", "--arrival", "1", "--bogus", "1"],
+        &["series", "--k", "4", "--bogus", "1"],
+    ] {
+        let out = sbcast(args);
+        assert_clean_failure(&out);
+        let flag = args[args.len() - 2];
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: stderr must name {flag}, got: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: nothing may run before the flag check"
+        );
+    }
+}
+
+#[test]
 fn plan_succeeds_on_defaults() {
     let out = sbcast(&["plan"]);
     assert!(out.status.success());

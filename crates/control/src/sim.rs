@@ -47,7 +47,7 @@ use sb_core::error::{Result, SchemeError};
 use sb_core::scheme::BroadcastScheme;
 use sb_core::series::Width;
 use sb_core::Skyscraper;
-use sb_metrics::{OpLog, Recorder, Registry, Snapshot, TeeRecorder};
+use sb_metrics::{IdLabels, OpLog, Recorder, Registry, Snapshot, TeeRecorder};
 use sb_resilience::{Degradation, FaultScript, ResilienceOutcome};
 use sb_sim::run::RunParts;
 use sb_sim::{parallel_map, shard_of, Engine, EngineStats, RunConfig};
@@ -347,6 +347,8 @@ struct ShardView<'a> {
     shards: usize,
     requests: &'a [WorkloadRequest],
     local_of: &'a [(usize, usize)],
+    /// The `video` label value of each shard-local title id.
+    video_labels: &'a IdLabels,
     script: &'a FaultScript,
     policy: ControlPolicy,
     degradation: Degradation,
@@ -517,8 +519,8 @@ impl<'a> ShardState<'a> {
         self.commit_matured(Minutes(now), rec);
         if fresh {
             self.est.observe(r.at, video);
-            let vl = video.to_string();
-            rec.incr("control_requests_total", &[("video", &vl)], 1);
+            let vl = self.view.video_labels.get(video);
+            rec.incr("control_requests_total", &[("video", vl)], 1);
         }
         let deadline = r.at.value() + r.patience.value();
         if let Some(slot) = self.alloc.slot_of(video) {
@@ -676,8 +678,8 @@ impl<'a> ShardState<'a> {
             let q = core::mem::take(&mut self.queues[v]);
             self.total_queued -= q.len();
             self.free -= 1;
-            let vl = v.to_string();
-            rec.incr("control_batches_total", &[("video", &vl)], 1);
+            let vl = self.view.video_labels.get(v);
+            rec.incr("control_batches_total", &[("video", vl)], 1);
             for w in q {
                 let wait = now - w.arrival;
                 self.tally.served_pool += 1;
@@ -1003,11 +1005,14 @@ impl ControlledSim {
             });
         }
 
+        // Label strings are formatted once per run, not per request.
+        let video_labels = IdLabels::new(self.cfg.titles);
         let view = |shard| ShardView {
             shard,
             shards,
             requests,
             local_of: &part.local_of,
+            video_labels: &video_labels,
             script,
             policy,
             degradation,

@@ -29,7 +29,7 @@
 pub mod recorder;
 pub mod registry;
 
-pub use recorder::{NullRecorder, OpLog, Recorder, TeeRecorder};
+pub use recorder::{IdLabels, NullRecorder, OpLog, Recorder, TeeRecorder};
 pub use registry::{
     FamilySnapshot, HistogramValue, MetricKind, MetricValue, Registry, SeriesSnapshot, Snapshot,
     DEFAULT_BUCKETS,

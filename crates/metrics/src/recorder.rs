@@ -69,6 +69,47 @@ impl Recorder for TeeRecorder<'_> {
     }
 }
 
+/// Decimal label values for the dense integer ids `0..n` (videos,
+/// channels), formatted once, so recording a series keyed by an id
+/// allocates nothing. All labels share one buffer: a few bytes per id,
+/// not one `String` each.
+#[derive(Debug, Clone)]
+pub struct IdLabels {
+    /// Every label, concatenated in id order.
+    text: String,
+    /// `ends[id]` is the end of `id`'s label in `text`.
+    ends: Vec<usize>,
+}
+
+impl IdLabels {
+    /// The labels of the ids `0..n`.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        use std::fmt::Write;
+        let digits = n
+            .saturating_sub(1)
+            .checked_ilog10()
+            .map_or(1, |d| d as usize + 1);
+        let mut text = String::with_capacity(n * digits);
+        let mut ends = Vec::with_capacity(n);
+        for id in 0..n {
+            write!(text, "{id}").expect("writing to a String cannot fail");
+            ends.push(text.len());
+        }
+        Self { text, ends }
+    }
+
+    /// The label value of `id`: its decimal form.
+    ///
+    /// # Panics
+    /// Panics if `id` is not below the table's `n`.
+    #[must_use]
+    pub fn get(&self, id: usize) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[id]]
+    }
+}
+
 /// One recorded metric mutation.
 #[derive(Debug, Clone, PartialEq)]
 enum OpKind {
@@ -197,6 +238,15 @@ mod tests {
             serde_json::to_string(&a.snapshot()).unwrap(),
             serde_json::to_string(&b.snapshot()).unwrap()
         );
+    }
+
+    #[test]
+    fn id_labels_are_decimal() {
+        let t = IdLabels::new(1235);
+        for id in [0, 7, 9, 10, 99, 100, 1234] {
+            assert_eq!(t.get(id), id.to_string());
+        }
+        assert_eq!(IdLabels::new(1).get(0), "0");
     }
 
     #[test]

@@ -116,14 +116,21 @@ struct Family {
 /// global state. Each simulation shard owns its registry; cross-shard
 /// aggregation happens through [`Snapshot::merge`] in a caller-chosen
 /// (index) order.
+///
+/// Recording allocates only when it creates a family or a series: a
+/// hit looks the family and the series up by `&str`, building the label
+/// key into a buffer the registry reuses.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     families: BTreeMap<String, Family>,
+    /// Scratch for the label key of the series being recorded.
+    key: String,
 }
 
-/// Canonical label-set key: `k=v` pairs joined by `,` in caller order.
-fn label_key(labels: &[(&str, &str)]) -> String {
-    let mut out = String::new();
+/// Write the canonical label-set key into `out`: `k=v` pairs joined by
+/// `,` in caller order.
+fn write_label_key(out: &mut String, labels: &[(&str, &str)]) {
+    out.clear();
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -132,7 +139,6 @@ fn label_key(labels: &[(&str, &str)]) -> String {
         out.push('=');
         out.push_str(v);
     }
-    out
 }
 
 impl Registry {
@@ -157,53 +163,80 @@ impl Registry {
         assert_eq!(f.buckets, bounds, "{name} re-declared with other bounds");
     }
 
-    fn family(&mut self, name: &str, kind: MetricKind) -> &mut Family {
-        let f = self.families.entry(name.to_string()).or_insert(Family {
-            kind,
-            buckets: DEFAULT_BUCKETS.to_vec(),
-            series: BTreeMap::new(),
-        });
+    /// Apply `op` to the series `name{labels}` of a `kind` family,
+    /// creating the family (with [`DEFAULT_BUCKETS`]) and the series
+    /// (with `init`) on first use.
+    ///
+    /// # Panics
+    /// Panics if `name` exists with another kind — on every use, not
+    /// only on creation.
+    fn record(
+        &mut self,
+        name: &str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+        init: impl FnOnce(&[f64]) -> MetricValue,
+        op: impl FnOnce(&mut MetricValue),
+    ) {
+        write_label_key(&mut self.key, labels);
+        let f = match self.families.get_mut(name) {
+            Some(f) => f,
+            None => self.families.entry(name.to_string()).or_insert(Family {
+                kind,
+                buckets: DEFAULT_BUCKETS.to_vec(),
+                series: BTreeMap::new(),
+            }),
+        };
         assert_eq!(f.kind, kind, "metric {name} used as two different kinds");
-        f
+        match f.series.get_mut(self.key.as_str()) {
+            Some(v) => op(v),
+            None => op(f
+                .series
+                .entry(self.key.clone())
+                .or_insert_with(|| init(&f.buckets))),
+        }
     }
 
     /// Add `by` to the counter `name{labels}`.
     pub fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let key = label_key(labels);
-        let f = self.family(name, MetricKind::Counter);
-        match f.series.entry(key).or_insert(MetricValue::Counter(0)) {
-            MetricValue::Counter(c) => *c += by,
-            _ => unreachable!("kind checked by family()"),
-        }
+        self.record(
+            name,
+            MetricKind::Counter,
+            labels,
+            |_| MetricValue::Counter(0),
+            |v| match v {
+                MetricValue::Counter(c) => *c += by,
+                _ => unreachable!("kind checked by record()"),
+            },
+        );
     }
 
     /// Raise the gauge `name{labels}` to `v` if `v` is higher.
     pub fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let key = label_key(labels);
-        let f = self.family(name, MetricKind::Gauge);
-        match f
-            .series
-            .entry(key)
-            .or_insert(MetricValue::Gauge(f64::NEG_INFINITY))
-        {
-            MetricValue::Gauge(g) => *g = g.max(v),
-            _ => unreachable!("kind checked by family()"),
-        }
+        self.record(
+            name,
+            MetricKind::Gauge,
+            labels,
+            |_| MetricValue::Gauge(f64::NEG_INFINITY),
+            |g| match g {
+                MetricValue::Gauge(g) => *g = g.max(v),
+                _ => unreachable!("kind checked by record()"),
+            },
+        );
     }
 
     /// Record `v` into the histogram `name{labels}`.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let key = label_key(labels);
-        let f = self.family(name, MetricKind::Histogram);
-        let bounds = f.buckets.clone();
-        match f
-            .series
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(HistogramValue::new(&bounds)))
-        {
-            MetricValue::Histogram(h) => h.observe(v),
-            _ => unreachable!("kind checked by family()"),
-        }
+        self.record(
+            name,
+            MetricKind::Histogram,
+            labels,
+            |bounds| MetricValue::Histogram(HistogramValue::new(bounds)),
+            |h| match h {
+                MetricValue::Histogram(h) => h.observe(v),
+                _ => unreachable!("kind checked by record()"),
+            },
+        );
     }
 
     /// Rebuild a registry from a [`Snapshot`], the exact inverse of
@@ -224,7 +257,11 @@ impl Registry {
     #[must_use]
     pub fn from_snapshot(snap: &Snapshot) -> Self {
         let mut families = BTreeMap::new();
+        // Room for the longest stored key, so recording into a restored
+        // series never grows the key buffer.
+        let mut key_len = 0;
         for f in &snap.families {
+            key_len = f.series.iter().fold(key_len, |n, s| n.max(s.labels.len()));
             let buckets = f
                 .series
                 .iter()
@@ -246,7 +283,10 @@ impl Registry {
                 },
             );
         }
-        Self { families }
+        Self {
+            families,
+            key: String::with_capacity(key_len),
+        }
     }
 
     /// Export the registry as a serializable, mergeable [`Snapshot`].
@@ -542,6 +582,110 @@ mod tests {
         let mut r = Registry::new();
         r.incr("m", &[], 1);
         r.observe("m", &[], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "two different kinds")]
+    fn kind_confusion_panics_on_the_hit_path() {
+        // The family and its series exist before the second, mistyped
+        // use, so the assertion must fire on a lookup, not on creation.
+        let mut r = Registry::new();
+        r.observe("m", &[("k", "a")], 1.0);
+        r.observe("m", &[("k", "a")], 2.0);
+        r.incr("m", &[("k", "a")], 1);
+    }
+
+    #[test]
+    fn declared_bounds_survive_repeat_observations() {
+        let bounds = [0.5, 4.0, 16.0];
+        let mut r = Registry::new();
+        r.declare_histogram("h", &bounds);
+        for i in 0..1_000 {
+            r.observe(
+                "h",
+                &[("k", if i % 2 == 0 { "a" } else { "b" })],
+                f64::from(i % 20),
+            );
+        }
+        let s = r.snapshot();
+        for labels in ["k=a", "k=b"] {
+            let h = s.histogram("h", labels).unwrap();
+            assert_eq!(h.bounds, bounds, "{labels}");
+            assert_eq!(h.count, 500, "{labels}");
+            assert_eq!(h.counts.iter().sum::<u64>(), 500, "{labels}");
+        }
+        // Re-declaring with the same bounds after use is still accepted.
+        r.declare_histogram("h", &bounds);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn interleaved_creates_and_hits_match_a_plain_model(
+            len in 1usize..120,
+            fams in proptest::collection::vec(0usize..6, 120),
+            labs in proptest::collection::vec(0usize..4, 120),
+            raws in proptest::collection::vec(0u32..400, 120),
+        ) {
+            // Family `i` always has kind `i % 3`, so no op panics; label
+            // sets 0..4 include the empty set and a two-pair set.
+            const NAMES: [&str; 6] = ["c0", "g1", "h2", "c3", "g4", "h5"];
+            const KINDS: [MetricKind; 3] =
+                [MetricKind::Counter, MetricKind::Gauge, MetricKind::Histogram];
+            const LABELS: [&[(&str, &str)]; 4] =
+                [&[], &[("k", "a")], &[("k", "b")], &[("k", "a"), ("j", "x")]];
+            let mut reg = Registry::new();
+            let mut model: BTreeMap<&str, (MetricKind, BTreeMap<String, MetricValue>)> =
+                BTreeMap::new();
+            for ((&f, &l), &raw) in fams.iter().zip(&labs).zip(&raws).take(len) {
+                let (name, labels, kind) = (NAMES[f], LABELS[l], KINDS[f % 3]);
+                let key = labels
+                    .iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                let x = f64::from(raw) / 8.0;
+                let series = &mut model.entry(name).or_insert((kind, BTreeMap::new())).1;
+                match series.entry(key).or_insert_with(|| match kind {
+                    MetricKind::Counter => MetricValue::Counter(0),
+                    MetricKind::Gauge => MetricValue::Gauge(f64::NEG_INFINITY),
+                    MetricKind::Histogram => {
+                        MetricValue::Histogram(HistogramValue::new(&DEFAULT_BUCKETS))
+                    }
+                }) {
+                    MetricValue::Counter(c) => {
+                        reg.incr(name, labels, u64::from(raw));
+                        *c += u64::from(raw);
+                    }
+                    MetricValue::Gauge(g) => {
+                        reg.gauge_max(name, labels, x);
+                        *g = g.max(x);
+                    }
+                    MetricValue::Histogram(h) => {
+                        reg.observe(name, labels, x);
+                        h.observe(x);
+                    }
+                }
+            }
+            let expected = Snapshot {
+                families: model
+                    .into_iter()
+                    .map(|(name, (kind, series))| FamilySnapshot {
+                        name: name.to_string(),
+                        kind,
+                        series: series
+                            .into_iter()
+                            .map(|(labels, value)| SeriesSnapshot { labels, value })
+                            .collect(),
+                    })
+                    .collect(),
+            };
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&reg.snapshot()).unwrap(),
+                serde_json::to_string(&expected).unwrap()
+            );
+        }
     }
 
     #[test]

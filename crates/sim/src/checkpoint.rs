@@ -741,7 +741,7 @@ mod tests {
         eng.schedule_at(Ticks(3), Ev::Arrive(7));
         eng.schedule_at(Ticks(9), Ev::Finish);
         let _ = eng.next();
-        let mut core = CoreState::new();
+        let mut core = CoreState::with_capacity(0);
         core.sessions = 1;
         core.latency_sum = -0.0; // the printer-hostile cases
         core.latencies = vec![0.1 + 0.2, f64::MIN_POSITIVE];

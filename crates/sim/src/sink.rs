@@ -11,8 +11,12 @@
 //! sinks cover the two consumers:
 //!
 //! * [`StreamingFold`] — incremental aggregation. Keeps scalar
-//!   accumulators plus one `f64` per session (for exact percentiles);
-//!   memory is ~8 bytes per session instead of the whole reception list.
+//!   accumulators plus one `f64` latency per session (for exact
+//!   percentiles), never a reception list. That buffer is not the run's
+//!   whole memory: `SystemSim::execute` also keeps its report's own
+//!   latency buffer and, because every arrival is scheduled up front,
+//!   one agenda entry per request — about 62 bytes of peak RSS per
+//!   request on perfbench's `sb-grid` workload.
 //! * [`CollectTraces`] — the materializing path. Retains every trace,
 //!   because packet-level [`crate::e2e`] replay and fault re-injection
 //!   need the full reception lists.
@@ -121,6 +125,15 @@ impl StreamingFold {
         Self::default()
     }
 
+    /// An empty fold with room for `sessions` latencies, so the
+    /// percentile buffer never regrows.
+    pub(crate) fn with_capacity(sessions: usize) -> Self {
+        Self {
+            latencies: Vec::with_capacity(sessions),
+            ..Self::default()
+        }
+    }
+
     /// Sessions folded so far.
     #[must_use]
     pub fn sessions(&self) -> usize {
@@ -130,10 +143,11 @@ impl StreamingFold {
     /// Fold one session from its pre-extracted scalars — exactly the
     /// operations [`TraceSink::accept`] performs, in the same order.
     ///
-    /// The sharded runner captures these five scalars per session inside
-    /// each shard and replays them here in global engine order, which is
-    /// what makes an `S`-shard fold bitwise identical to the one-shard
-    /// streaming fold (see `sim::shard`).
+    /// `SystemSim::execute` feeds its own fold only through here, with
+    /// the scalars it measured once per session; the sharded runner
+    /// captures the same scalars inside each shard and replays them in
+    /// global engine order, which is what makes an `S`-shard fold
+    /// bitwise identical to the one-shard fold (see `sim::shard`).
     pub fn fold_scalars(
         &mut self,
         latency: f64,
@@ -196,6 +210,19 @@ impl StreamingFold {
     pub fn finish(&self) -> SessionSummary {
         let mut sorted = self.latencies.clone();
         sorted.sort_by(f64::total_cmp);
+        self.summary(&sorted)
+    }
+
+    /// [`StreamingFold::finish`] for a fold the caller owns: sorts the
+    /// latencies in place instead of sorting a copy.
+    pub(crate) fn into_summary(mut self) -> SessionSummary {
+        let mut sorted = std::mem::take(&mut self.latencies);
+        sorted.sort_by(f64::total_cmp);
+        self.summary(&sorted)
+    }
+
+    /// The summary over `sorted`, this fold's latencies in sorted order.
+    fn summary(&self, sorted: &[f64]) -> SessionSummary {
         SessionSummary {
             sessions: self.sessions,
             mean_latency: Minutes(if self.sessions > 0 {
@@ -203,8 +230,8 @@ impl StreamingFold {
             } else {
                 0.0
             }),
-            p50_latency: percentile(&sorted, 0.5),
-            p95_latency: percentile(&sorted, 0.95),
+            p50_latency: percentile(sorted, 0.5),
+            p95_latency: percentile(sorted, 0.95),
             worst_latency: Minutes(self.worst_latency),
             worst_buffer: Mbits(self.worst_buffer),
             total_received: Mbits(self.total_received),
@@ -265,26 +292,6 @@ impl TraceSink for StreamingFold {
         if report.is_truncated() {
             self.truncated_sessions += 1;
         }
-    }
-}
-
-/// Feeds every event to two sinks, `a` first. The run executor uses it
-/// to drive its internal [`StreamingFold`] and a caller-supplied sink
-/// off one trace stream.
-pub(crate) struct TeeSink<'s> {
-    pub(crate) a: &'s mut dyn TraceSink,
-    pub(crate) b: &'s mut dyn TraceSink,
-}
-
-impl TraceSink for TeeSink<'_> {
-    fn accept(&mut self, trace: &SessionTrace) {
-        self.a.accept(trace);
-        self.b.accept(trace);
-    }
-
-    fn accept_stalls(&mut self, report: &StallReport) {
-        self.a.accept_stalls(report);
-        self.b.accept_stalls(report);
     }
 }
 

@@ -15,17 +15,17 @@
 //! into the same [`SystemSim`], because every model reduces its sessions
 //! to the common [`crate::trace::SessionTrace`].
 
-use sb_metrics::Recorder;
+use sb_metrics::{IdLabels, Recorder};
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
-use sb_core::plan::{ChannelPlan, VideoId};
+use sb_core::plan::{ChannelPlan, PlanIndex, VideoId};
 
 use crate::agenda::AgendaKind;
 use crate::engine::Engine;
 use crate::policy::PolicyError;
 use crate::shard::SessionScalars;
-use crate::sink::TraceSink;
+use crate::sink::{StreamingFold, TraceSink};
 use crate::trace::ClientModel;
 
 /// One viewer request.
@@ -89,11 +89,13 @@ pub(crate) struct CoreState {
 }
 
 impl CoreState {
-    pub(crate) fn new() -> Self {
+    /// Empty accumulators, with room for `sessions` latencies so the
+    /// percentile buffer never regrows.
+    pub(crate) fn with_capacity(sessions: usize) -> Self {
         Self {
             sessions: 0,
             latency_sum: 0.0,
-            latencies: Vec::new(),
+            latencies: Vec::with_capacity(sessions),
             worst_latency: Minutes(0.0),
             worst_buffer: Mbits::ZERO,
             active: 0,
@@ -102,6 +104,36 @@ impl CoreState {
             error: None,
         }
     }
+}
+
+/// What one run reads for every session besides the event itself: the
+/// plan index, the request slice, and the label tables its metric
+/// series are keyed by.
+pub(crate) struct RunCtx<'a> {
+    index: PlanIndex<'a>,
+    requests: &'a [Request],
+    videos: IdLabels,
+    channels: IdLabels,
+}
+
+impl<'a> RunCtx<'a> {
+    pub(crate) fn new(plan: &'a ChannelPlan, requests: &'a [Request]) -> Self {
+        Self {
+            index: plan.index(),
+            requests,
+            videos: IdLabels::new(plan.num_videos()),
+            channels: IdLabels::new(plan.channels.len()),
+        }
+    }
+}
+
+/// Where a served session goes besides the report and the recorder:
+/// the run's own fold (fed the session's scalars), the caller's trace
+/// sink (fed the whole trace), and the shard capture.
+pub(crate) struct SessionOut<'o> {
+    pub(crate) fold: Option<&'o mut StreamingFold>,
+    pub(crate) sink: Option<&'o mut dyn TraceSink>,
+    pub(crate) capture: Option<&'o mut Vec<SessionScalars>>,
 }
 
 /// Close out a run: emit the end-of-run metric events and fold the
@@ -182,35 +214,23 @@ impl<'a> SystemSim<'a> {
     /// The one simulation core every public entry point funnels into.
     ///
     /// Drives `requests` through an engine on the binary-heap agenda,
-    /// streaming traces into `sink` and metric events into `rec`. When
-    /// `capture` is given, additionally appends one [`SessionScalars`]
-    /// per served session in engine (pop) order — the sharded executor's
-    /// raw material; the captured floats are computed by the very
-    /// statements that feed the report, so a later replay repeats
-    /// bit-identical operations.
+    /// metric events into `rec` and each served session into `out`: its
+    /// [`SessionScalars`] into the fold and the capture (in engine pop
+    /// order, the sharded executor's raw material), its whole trace into
+    /// the caller's sink. The scalars are the very values that feed the
+    /// report, so a later replay repeats bit-identical operations.
     pub(crate) fn run_core(
         &self,
         requests: &[Request],
         rec: &mut dyn Recorder,
-        sink: &mut dyn TraceSink,
-        mut capture: Option<&mut Vec<SessionScalars>>,
+        mut out: SessionOut<'_>,
     ) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
         let mut engine: Engine<Ev> = Engine::new();
         self.schedule_arrivals(&mut engine, requests);
-        let index = self.plan.index();
-        let mut state = CoreState::new();
+        let ctx = RunCtx::new(self.plan, requests);
+        let mut state = CoreState::with_capacity(requests.len());
         engine.run(|eng, at, ev| {
-            self.handle_event(
-                &mut state,
-                eng,
-                at,
-                ev,
-                &index,
-                requests,
-                rec,
-                sink,
-                &mut capture,
-            );
+            self.handle_event(&mut state, eng, at, ev, &ctx, rec, &mut out);
         });
         let stats = engine.stats();
         finish_core(state, stats, rec)
@@ -231,8 +251,10 @@ impl<'a> SystemSim<'a> {
     /// Handle one engine event — the exact per-session statements (and
     /// float order) every execution path shares; bitwise identity between
     /// serial, sharded and checkpoint-resumed runs rests on this being
-    /// the *only* copy of them. Returns `true` when a session was served
-    /// (the checkpoint cadence counts served sessions).
+    /// the *only* copy of them. A served session's trace analytics run
+    /// once, into one [`SessionScalars`] that the report, the fold, the
+    /// metrics and the capture all read. Returns `true` when a session
+    /// was served (the checkpoint cadence counts served sessions).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_event(
         &self,
@@ -240,62 +262,57 @@ impl<'a> SystemSim<'a> {
         eng: &mut Engine<Ev>,
         at: Ticks,
         ev: Ev,
-        index: &sb_core::plan::PlanIndex<'_>,
-        requests: &[Request],
+        ctx: &RunCtx<'_>,
         rec: &mut dyn Recorder,
-        sink: &mut dyn TraceSink,
-        capture: &mut Option<&mut Vec<SessionScalars>>,
+        out: &mut SessionOut<'_>,
     ) -> bool {
         match ev {
             Ev::Arrive(pos) => {
                 if state.error.is_some() {
                     return false;
                 }
-                let r = requests[pos];
+                let r = ctx.requests[pos];
                 match self
                     .model
-                    .session_indexed(index, r.video, r.at, self.display_rate)
+                    .session_indexed(&ctx.index, r.video, r.at, self.display_rate)
                 {
                     Ok(s) => {
-                        sink.accept(&s);
+                        let sc = SessionScalars::measure(&s, at, pos, self.scale);
+                        if let Some(sink) = out.sink.as_deref_mut() {
+                            sink.accept(&s);
+                        }
+                        if let Some(fold) = out.fold.as_deref_mut() {
+                            fold.fold_scalars(
+                                sc.latency,
+                                sc.peak_buffer,
+                                sc.total_received,
+                                sc.delivered,
+                                sc.max_streams,
+                            );
+                        }
                         state.sessions += 1;
                         state.active += 1;
                         state.peak_active = state.peak_active.max(state.active);
-                        let lat = s.startup_latency();
-                        state.latency_sum += lat.value();
-                        state.latencies.push(lat.value());
-                        state.worst_latency = state.worst_latency.max(lat);
-                        state.worst_buffer = state.worst_buffer.max(s.peak_buffer());
-                        let end = s.playback_end();
-                        let session_delivered = end.value() - s.playback_start.value();
-                        state.delivered += session_delivered;
-                        let video = r.video.0.to_string();
-                        let vl: &[(&str, &str)] = &[("video", &video)];
+                        state.latency_sum += sc.latency;
+                        state.latencies.push(sc.latency);
+                        state.worst_latency = state.worst_latency.max(Minutes(sc.latency));
+                        state.worst_buffer = state.worst_buffer.max(Mbits(sc.peak_buffer));
+                        state.delivered += sc.delivered;
+                        let vl: &[(&str, &str)] = &[("video", ctx.videos.get(r.video.0))];
                         rec.incr("sim_sessions_total", vl, 1);
-                        rec.observe("sim_latency_minutes", vl, lat.value());
-                        rec.observe("sim_peak_buffer_mbits", vl, s.peak_buffer().value());
+                        rec.observe("sim_latency_minutes", vl, sc.latency);
+                        rec.observe("sim_peak_buffer_mbits", vl, sc.peak_buffer);
                         for rx in &s.receptions {
-                            let channel = rx.channel.to_string();
                             rec.observe(
                                 "sim_channel_busy_minutes",
-                                &[("channel", &channel)],
+                                &[("channel", ctx.channels.get(rx.channel))],
                                 rx.duration.value(),
                             );
                         }
-                        let end_at = Ticks::ZERO + self.scale.duration_from_minutes(end);
-                        if let Some(cap) = capture.as_deref_mut() {
-                            cap.push(SessionScalars {
-                                tick: at.0,
-                                idx: pos,
-                                end_tick: end_at.0,
-                                latency: lat.value(),
-                                peak_buffer: s.peak_buffer().value(),
-                                total_received: s.total_received().value(),
-                                delivered: session_delivered,
-                                max_streams: s.max_concurrent_receptions(),
-                            });
+                        if let Some(cap) = out.capture.as_deref_mut() {
+                            cap.push(sc);
                         }
-                        eng.schedule_at(end_at, Ev::Finish);
+                        eng.schedule_at(Ticks(sc.end_tick), Ev::Finish);
                         true
                     }
                     Err(e) => {
@@ -338,7 +355,7 @@ impl<'a> SystemSim<'a> {
                 Some(cp) => (
                     Engine::thaw(cp.frozen, agenda),
                     cp.core,
-                    crate::sink::StreamingFold::thaw(cp.fold),
+                    StreamingFold::thaw(cp.fold),
                     cp.scalars,
                     sb_metrics::Registry::from_snapshot(&cp.snapshot),
                     cp.sessions_done,
@@ -348,32 +365,27 @@ impl<'a> SystemSim<'a> {
                     self.schedule_arrivals(&mut engine, requests);
                     (
                         engine,
-                        CoreState::new(),
-                        crate::sink::StreamingFold::new(),
-                        Vec::new(),
+                        CoreState::with_capacity(requests.len()),
+                        StreamingFold::with_capacity(requests.len()),
+                        Vec::with_capacity(requests.len()),
                         sb_metrics::Registry::new(),
                         0u64,
                     )
                 }
             };
-        let index = self.plan.index();
+        let ctx = RunCtx::new(self.plan, requests);
         let mut checkpoints_taken = 0u64;
         while let Some((at, ev)) = engine.next() {
             if let Verdict::Kill = probe(Probe::Event { tick: at.0 }) {
                 return Err(ShardCrash::killed(at.0, sessions_done, checkpoints_taken));
             }
-            let mut cap = Some(&mut scalars);
-            let served = self.handle_event(
-                &mut state,
-                &mut engine,
-                at,
-                ev,
-                &index,
-                requests,
-                &mut reg,
-                &mut fold,
-                &mut cap,
-            );
+            let mut out = SessionOut {
+                fold: Some(&mut fold),
+                sink: None,
+                capture: Some(&mut scalars),
+            };
+            let served =
+                self.handle_event(&mut state, &mut engine, at, ev, &ctx, &mut reg, &mut out);
             if let Some(e) = state.error.take() {
                 return Err(ShardCrash::Policy(e));
             }

@@ -261,6 +261,14 @@ impl SessionTrace {
     /// (reception starts/ends, playback start/end).
     #[must_use]
     pub fn buffer_profile(&self) -> Vec<(Minutes, Mbits)> {
+        let mut out = Vec::with_capacity(2 * self.receptions.len() + 2);
+        self.sweep_buffer(|t, b| out.push((t, b)));
+        out
+    }
+
+    /// Hand each vertex of [`SessionTrace::buffer_profile`] to `visit`,
+    /// in time order, without materializing the curve.
+    fn sweep_buffer(&self, mut visit: impl FnMut(Minutes, Mbits)) {
         let play_start = self.playback_start.value();
         let play_end = self.playback_end().value();
         let mut points: Vec<f64> = vec![play_start, play_end];
@@ -284,7 +292,6 @@ impl SessionTrace {
         events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
 
         let total: f64 = self.segment_sizes.iter().map(|s| s.value()).sum();
-        let mut out = Vec::with_capacity(points.len());
         let mut received = 0.0f64;
         let mut rate = 0.0f64;
         let mut cursor = points.first().copied().unwrap_or(0.0);
@@ -306,18 +313,16 @@ impl SessionTrace {
             }
             let played = (t - play_start).clamp(0.0, play_end - play_start);
             let consumed = (self.display_rate.value() * played * 60.0).min(total);
-            out.push((Minutes(t), Mbits((received - consumed).max(0.0))));
+            visit(Minutes(t), Mbits((received - consumed).max(0.0)));
         }
-        out
     }
 
     /// Peak of the buffer-occupancy curve.
     #[must_use]
     pub fn peak_buffer(&self) -> Mbits {
-        self.buffer_profile()
-            .into_iter()
-            .map(|(_, b)| b)
-            .fold(Mbits::ZERO, Mbits::max)
+        let mut peak = Mbits::ZERO;
+        self.sweep_buffer(|_, b| peak = peak.max(b));
+        peak
     }
 
     /// Peak buffer in the paper's Figure-8 unit.

@@ -94,6 +94,39 @@ fn every_client_model_folds_bitwise_equal_to_materializing() {
     }
 }
 
+/// The outcome's own fold is fed session scalars, not traces; it must
+/// still equal the materialized summary of the traces the caller's sink
+/// received, and that sink must still see every session in arrival
+/// order, at one shard and at four.
+#[test]
+fn outcome_fold_equals_the_materialized_summary_at_every_shard_count() {
+    let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+    let reqs = requests(48, 3, 60.0);
+    for (name, plan, model) in lineup() {
+        for shards in [1, 4] {
+            let mut collect = CollectTraces::new();
+            let out = SystemSim::new(&plan, cfg.display_rate, model.as_ref())
+                .execute(
+                    RunConfig::new(&reqs)
+                        .sink(&mut collect)
+                        .shards(shards)
+                        .threads(2),
+                )
+                .unwrap_or_else(|e| panic!("{name} S={shards}: {e}"));
+            assert_eq!(
+                serde_json::to_string(&out.fold).unwrap(),
+                serde_json::to_string(&collect.summarize()).unwrap(),
+                "{name} S={shards}: outcome fold differs from the collected traces"
+            );
+            // `requests` arrive strictly in slice order.
+            assert_eq!(collect.traces.len(), reqs.len(), "{name} S={shards}");
+            for (t, r) in collect.traces.iter().zip(&reqs) {
+                assert_eq!(t.arrival, r.at, "{name} S={shards}: out of arrival order");
+            }
+        }
+    }
+}
+
 #[test]
 fn stall_accounting_is_equivalent_across_models() {
     let cfg = SystemConfig::paper_defaults(Mbps(320.0));

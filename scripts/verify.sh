@@ -26,6 +26,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p sb-sim -p sb-workload -p sb-batching -p sb-metrics -p sb-control \
     -p sb-resilience -p sb-analysis -p sb-cli -p sb-bench
 
+echo "==> perfbench correctness (the benchmark's own checks, seed 1, one second each)"
+# Runs the repository benchmark briefly on three workloads; the last
+# stdout line of each run is its JSON report, which must say
+# "correct": true (byte-identity and conservation checks passed).
+for w in sb-grid hb-receive-all control-outage; do
+    last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)"
+    case "$last" in
+        *'"correct": true'*) ;;
+        *) echo "perfbench $w is not correct: $last"; exit 1 ;;
+    esac
+done
+
 echo "==> popularity-shift smoke (static vs dynamic control)"
 cargo run -q -p sb-cli --bin sbcast -- control --horizon 300 --seeds 11 --threads 2
 
