@@ -22,7 +22,7 @@ use vod_units::Minutes;
 
 use sb_control::{ControlConfig, ControlPolicy, ControlReport, ControlledSim};
 use sb_core::error::Result;
-use sb_metrics::{Recorder, Registry, Snapshot};
+use sb_metrics::{HistogramValue, Recorder, Registry, Snapshot};
 use sb_sim::RunConfig;
 use sb_workload::{Catalog, Patience, PoissonArrivals, PopularityShift, ZipfPopularity};
 
@@ -119,6 +119,12 @@ impl Recorder for PolicyLabeled<'_> {
         let mut l = labels.to_vec();
         l.push(("policy", self.policy));
         self.inner.observe(name, &l, v);
+    }
+
+    fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue) {
+        let mut l = labels.to_vec();
+        l.push(("policy", self.policy));
+        self.inner.merge_histogram(name, &l, h);
     }
 }
 
@@ -254,6 +260,32 @@ mod tests {
             seeds: vec![11, 23],
             ..ShiftStudyConfig::paper_defaults()
         }
+    }
+
+    #[test]
+    fn policy_labeling_forwards_merged_histograms_with_its_label() {
+        let mut h = HistogramValue::new(&sb_metrics::DEFAULT_BUCKETS);
+        h.observe(0.3);
+        h.observe(7.0);
+        let mut reg = Registry::new();
+        let mut labeled = PolicyLabeled {
+            inner: &mut reg,
+            policy: "dynamic",
+        };
+        labeled.merge_histogram("busy", &[("channel", "4")], h.clone());
+        let mut direct = Registry::new();
+        direct.merge_histogram("busy", &[("channel", "4"), ("policy", "dynamic")], h);
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.histogram("busy", "channel=4,policy=dynamic")
+                .unwrap()
+                .count,
+            2
+        );
+        assert_eq!(
+            serde_json::to_string(&snap).unwrap(),
+            serde_json::to_string(&direct.snapshot()).unwrap()
+        );
     }
 
     #[test]

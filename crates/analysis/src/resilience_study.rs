@@ -28,7 +28,7 @@ use sb_control::{ControlConfig, ControlFaults, ControlPolicy, ControlReport, Con
 use sb_core::config::SystemConfig;
 use sb_core::error::Result;
 use sb_core::plan::VideoId;
-use sb_metrics::{Recorder, Registry, Snapshot};
+use sb_metrics::{HistogramValue, Recorder, Registry, Snapshot};
 use sb_resilience::{replay, Degradation, FaultScript, GilbertElliott, ScriptedLoss};
 use sb_sim::policy::ClientPolicy;
 use sb_sim::trace::{ClientModel, PausingClient, RecordingClient};
@@ -242,6 +242,12 @@ impl Recorder for Labeled<'_> {
         let mut l = labels.to_vec();
         l.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
         self.inner.observe(name, &l, v);
+    }
+
+    fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue) {
+        let mut l = labels.to_vec();
+        l.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+        self.inner.merge_histogram(name, &l, h);
     }
 }
 

@@ -7,7 +7,7 @@
 //! than a generic — keeps every downstream signature monomorphic and the
 //! public APIs unchanged.
 
-use crate::registry::Registry;
+use crate::registry::{HistogramValue, Registry};
 
 /// A sink for simulation events.
 pub trait Recorder {
@@ -17,6 +17,14 @@ pub trait Recorder {
     fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64);
     /// Record `v` into the histogram `name{labels}`.
     fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64);
+    /// Hand over a histogram accumulated elsewhere as the series
+    /// `name{labels}`: a store inserts it when the series is absent and
+    /// merges it bucket-wise when present. A hot loop that observes one
+    /// series many times keeps its own [`HistogramValue`] and records
+    /// it once; into an absent series that is bit for bit the same as
+    /// the individual [`Recorder::observe`] calls. No default body: a
+    /// wrapper that relabels or forwards must say what it does here.
+    fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue);
 }
 
 impl Recorder for Registry {
@@ -29,6 +37,9 @@ impl Recorder for Registry {
     fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         Registry::observe(self, name, labels, v);
     }
+    fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue) {
+        Registry::merge_histogram(self, name, labels, h);
+    }
 }
 
 /// Discards everything — the un-instrumented paths' recorder.
@@ -39,6 +50,7 @@ impl Recorder for NullRecorder {
     fn incr(&mut self, _name: &str, _labels: &[(&str, &str)], _by: u64) {}
     fn gauge_max(&mut self, _name: &str, _labels: &[(&str, &str)], _v: f64) {}
     fn observe(&mut self, _name: &str, _labels: &[(&str, &str)], _v: f64) {}
+    fn merge_histogram(&mut self, _name: &str, _labels: &[(&str, &str)], _h: HistogramValue) {}
 }
 
 /// Duplicates every event into two recorders, `a` first.
@@ -66,6 +78,10 @@ impl Recorder for TeeRecorder<'_> {
     fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.a.observe(name, labels, v);
         self.b.observe(name, labels, v);
+    }
+    fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue) {
+        self.a.merge_histogram(name, labels, h.clone());
+        self.b.merge_histogram(name, labels, h);
     }
 }
 
@@ -99,6 +115,18 @@ impl IdLabels {
         Self { text, ends }
     }
 
+    /// Number of ids in the table.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the table holds no ids.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
     /// The label value of `id`: its decimal form.
     ///
     /// # Panics
@@ -116,6 +144,7 @@ enum OpKind {
     Incr(u64),
     GaugeMax(f64),
     Observe(f64),
+    MergeHistogram(HistogramValue),
 }
 
 /// One buffered [`Recorder`] event: series key plus mutation.
@@ -166,10 +195,11 @@ impl OpLog {
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            match op.kind {
-                OpKind::Incr(by) => rec.incr(&op.name, &labels, by),
-                OpKind::GaugeMax(v) => rec.gauge_max(&op.name, &labels, v),
-                OpKind::Observe(v) => rec.observe(&op.name, &labels, v),
+            match &op.kind {
+                OpKind::Incr(by) => rec.incr(&op.name, &labels, *by),
+                OpKind::GaugeMax(v) => rec.gauge_max(&op.name, &labels, *v),
+                OpKind::Observe(v) => rec.observe(&op.name, &labels, *v),
+                OpKind::MergeHistogram(h) => rec.merge_histogram(&op.name, &labels, h.clone()),
             }
         }
     }
@@ -196,6 +226,9 @@ impl Recorder for OpLog {
     fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.push(name, labels, OpKind::Observe(v));
     }
+    fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue) {
+        self.push(name, labels, OpKind::MergeHistogram(h));
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +239,9 @@ mod tests {
         rec.incr("events", &[("kind", "a")], 2);
         rec.gauge_max("peak", &[], 4.5);
         rec.observe("lat", &[], 0.7);
+        let mut h = HistogramValue::new(&crate::DEFAULT_BUCKETS);
+        h.observe(3.5);
+        rec.merge_histogram("busy", &[("channel", "2")], h);
     }
 
     #[test]
@@ -255,7 +291,7 @@ mod tests {
         record_into(&mut direct);
         let mut log = OpLog::new();
         record_into(&mut log);
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.len(), 4);
         assert!(!log.is_empty());
         let mut replayed = Registry::new();
         log.replay(&mut replayed);

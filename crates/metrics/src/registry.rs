@@ -239,6 +239,38 @@ impl Registry {
         );
     }
 
+    /// Hand over the histogram `h` as the series `name{labels}`: moved
+    /// in when the series is absent (a new family takes `h`'s bounds),
+    /// merged bucket-wise ([`HistogramValue::merge`]) when present.
+    ///
+    /// # Panics
+    /// Panics if `name` exists with another kind, or if `h`'s bounds
+    /// differ from the family's.
+    pub fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: HistogramValue) {
+        write_label_key(&mut self.key, labels);
+        let f = match self.families.get_mut(name) {
+            Some(f) => f,
+            None => self.families.entry(name.to_string()).or_insert(Family {
+                kind: MetricKind::Histogram,
+                buckets: h.bounds.clone(),
+                series: BTreeMap::new(),
+            }),
+        };
+        assert_eq!(
+            f.kind,
+            MetricKind::Histogram,
+            "metric {name} used as two different kinds"
+        );
+        assert_eq!(f.buckets, h.bounds, "{name} merged with other bounds");
+        match f.series.get_mut(self.key.as_str()) {
+            Some(MetricValue::Histogram(a)) => a.merge(&h),
+            Some(_) => unreachable!("a histogram family holds histograms"),
+            None => {
+                f.series.insert(self.key.clone(), MetricValue::Histogram(h));
+            }
+        }
+    }
+
     /// Rebuild a registry from a [`Snapshot`], the exact inverse of
     /// [`Registry::snapshot`]: `Registry::from_snapshot(&r.snapshot())`
     /// observes like `r` itself from that point on, bit for bit.
@@ -686,6 +718,47 @@ mod tests {
                 serde_json::to_string(&expected).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn merged_histogram_is_inserted_whole_or_merged_bucket_wise() {
+        let values = [0.003, 0.7, 0.7, 12.0, 500.0, 0.1 + 0.2];
+        let mut observed = Registry::new();
+        let mut h = HistogramValue::new(&DEFAULT_BUCKETS);
+        for &v in &values {
+            observed.observe("busy", &[("channel", "7")], v);
+            h.observe(v);
+        }
+        // Into an absent series: the same bytes as the observations.
+        let mut merged = Registry::new();
+        merged.merge_histogram("busy", &[("channel", "7")], h.clone());
+        assert_eq!(
+            serde_json::to_string(&merged.snapshot()).unwrap(),
+            serde_json::to_string(&observed.snapshot()).unwrap()
+        );
+        // Into a present series: bucket-wise addition.
+        merged.merge_histogram("busy", &[("channel", "7")], h.clone());
+        let twice = merged.snapshot();
+        let got = twice.histogram("busy", "channel=7").unwrap();
+        let mut want = h.clone();
+        want.merge(&h);
+        assert_eq!(got, &want);
+    }
+
+    #[test]
+    #[should_panic(expected = "two different kinds")]
+    fn merging_a_histogram_into_a_counter_panics() {
+        let mut r = Registry::new();
+        r.incr("m", &[], 1);
+        r.merge_histogram("m", &[], HistogramValue::new(&DEFAULT_BUCKETS));
+    }
+
+    #[test]
+    #[should_panic(expected = "merged with other bounds")]
+    fn merging_other_bounds_into_a_family_panics() {
+        let mut r = Registry::new();
+        r.declare_histogram("h", &[1.0, 2.0]);
+        r.merge_histogram("h", &[], HistogramValue::new(&DEFAULT_BUCKETS));
     }
 
     #[test]

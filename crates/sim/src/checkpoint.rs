@@ -42,7 +42,7 @@ use crate::engine::{EngineStats, FrozenEngine};
 use crate::policy::PolicyError;
 use crate::shard::{SessionScalars, ShardSlice};
 use crate::sink::FoldState;
-use crate::system::{CoreState, Ev, SystemSim};
+use crate::system::{ChannelBusy, CoreState, Ev, SystemSim};
 
 /// Format version written (and the only one accepted) by this build.
 const VERSION: u64 = 1;
@@ -678,6 +678,9 @@ pub fn decode_state(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
         active: want_usize(serde::field(co, "active"), "core.active")?,
         peak_active: want_usize(serde::field(co, "peak_active"), "core.peak_active")?,
         delivered: want_bits(serde::field(co, "delivered"), "core.delivered")?,
+        // The busy histograms travel in the snapshot section; resuming
+        // moves them back (`ChannelBusy::take_from`).
+        busy: ChannelBusy::default(),
         // Checkpoints are only ever taken on the error-free path: a
         // policy error aborts the attempt before the next cadence point.
         error: None,
@@ -734,6 +737,10 @@ pub fn decode_state(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_core::config::SystemConfig;
+    use sb_core::scheme::BroadcastScheme;
+    use sb_core::series::Width;
+    use sb_core::Skyscraper;
     use sb_metrics::Registry;
 
     fn sample_state() -> CheckpointState {
@@ -848,6 +855,113 @@ mod tests {
             decode_state(&forged),
             Err(CheckpointError::Malformed(_))
         ));
+    }
+
+    /// The encoded first checkpoint of a small SB run, plus the plan and
+    /// requests it resumes against.
+    fn first_checkpoint() -> (
+        sb_core::plan::ChannelPlan,
+        Vec<crate::system::Request>,
+        Vec<u8>,
+    ) {
+        let cfg = SystemConfig::paper_defaults(vod_units::Mbps(300.0));
+        let plan = Skyscraper::with_width(Width::Capped(52))
+            .plan(&cfg)
+            .unwrap();
+        let requests: Vec<crate::system::Request> = (0..24)
+            .map(|i| crate::system::Request {
+                at: Minutes(30.0 * (f64::from(i) + 0.31) / 24.0),
+                video: sb_core::plan::VideoId(i as usize % 10),
+            })
+            .collect();
+        let sim = SystemSim::new(
+            &plan,
+            cfg.display_rate,
+            crate::policy::ClientPolicy::LatestFeasible,
+        );
+        let slice = &crate::shard::plan_shards(&requests, 1, 0, None)[0];
+        let mut bytes = None;
+        let mut probe = |p: Probe<'_>| match p {
+            Probe::Checkpoint { encoded, .. } => {
+                bytes = Some(encoded.to_vec());
+                Verdict::Kill
+            }
+            Probe::Event { .. } => Verdict::Continue,
+        };
+        let crash = sim.run_shard(slice, AgendaKind::Heap, 8, None, &mut probe);
+        assert!(matches!(crash, Err(ShardCrash::Killed(_))));
+        drop(sim);
+        (plan, requests, bytes.expect("a checkpoint at session 8"))
+    }
+
+    /// Re-encode (so re-checksum) the checkpoint after `edit` changes its
+    /// `sim_channel_busy_minutes` series, then resume from it.
+    fn resume_edited(edit: impl FnOnce(&mut SeriesSnapshot)) -> Result<ShardRun, ShardCrash> {
+        let (plan, requests, bytes) = first_checkpoint();
+        let mut cp = decode_state(&bytes).unwrap();
+        let family = cp
+            .snapshot
+            .families
+            .iter_mut()
+            .find(|f| f.name == "sim_channel_busy_minutes")
+            .expect("the checkpoint carries the busy series");
+        edit(&mut family.series[0]);
+        let forged = encode_state(&cp);
+        assert!(
+            decode_state(&forged).is_ok(),
+            "the forgery passes the checksum"
+        );
+        let sim = SystemSim::new(
+            &plan,
+            SystemConfig::paper_defaults(vod_units::Mbps(300.0)).display_rate,
+            crate::policy::ClientPolicy::LatestFeasible,
+        );
+        let slice = &crate::shard::plan_shards(&requests, 1, 0, None)[0];
+        sim.run_shard(slice, AgendaKind::Heap, 8, Some(&forged), &mut |_| {
+            Verdict::Continue
+        })
+    }
+
+    #[test]
+    fn an_intact_busy_series_resumes() {
+        assert!(resume_edited(|_| {}).is_ok());
+    }
+
+    #[test]
+    fn a_busy_series_on_no_channel_of_the_plan_is_malformed() {
+        for label in ["channel=99999", "channel=007", "channel=", "video=3", ""] {
+            let err = resume_edited(|s| s.labels = label.to_string())
+                .err()
+                .unwrap_or_else(|| panic!("{label:?} must not resume"));
+            assert!(
+                matches!(err, ShardCrash::Corrupt(CheckpointError::Malformed(_))),
+                "{label:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_busy_series_off_the_default_buckets_is_malformed() {
+        let edits: [fn(&mut HistogramValue); 4] = [
+            |h| h.bounds[0] = 0.02,
+            |h| h.bounds.push(240.0),
+            |h| {
+                h.counts.pop();
+            },
+            |h| h.count += 1,
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let err = resume_edited(|s| match &mut s.value {
+                MetricValue::Histogram(h) => edit(h),
+                _ => unreachable!("busy series are histograms"),
+            })
+            .err()
+            .unwrap_or_else(|| panic!("edit {i} must not resume"));
+            assert!(
+                matches!(err, ShardCrash::Corrupt(CheckpointError::Malformed(_))),
+                "edit {i}: {err}"
+            );
+        }
     }
 
     #[test]

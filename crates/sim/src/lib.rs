@@ -111,5 +111,5 @@ pub use sink::{CollectTraces, FoldState, NullSink, SessionSummary, StreamingFold
 pub use system::{Request, SystemReport, SystemSim};
 pub use trace::{
     ClientModel, CycleRecordingClient, PausingClient, Reception, RecordingClient, SessionTrace,
-    TraceViolation,
+    SweepScratch, TraceScalars, TraceViolation,
 };

@@ -63,7 +63,7 @@ use crate::pool::parallel_map;
 use crate::run::{RunConfig, RunOutcome};
 use crate::sink::{CollectTraces, StreamingFold, TraceSink};
 use crate::system::{Request, SessionOut, SystemReport, SystemSim};
-use crate::trace::SessionTrace;
+use crate::trace::{SessionTrace, SweepScratch};
 
 /// The shard owning `key` (a video id) under `seed`, for `shards`
 /// servers: a full-avalanche splitmix64 finalizer, so consecutive video
@@ -112,19 +112,27 @@ pub(crate) struct SessionScalars {
 
 impl SessionScalars {
     /// Measure a served session: the one pass of trace analytics a
-    /// session gets. `tick` is its arrival tick, `idx` its request
+    /// session gets ([`SessionTrace::sweep_scalars`], into the run's
+    /// reused `scratch`). `tick` is its arrival tick, `idx` its request
     /// index, `scale` the run's tick resolution for the end tick.
-    pub(crate) fn measure(trace: &SessionTrace, tick: Ticks, idx: usize, scale: TickScale) -> Self {
-        let end = trace.playback_end();
+    pub(crate) fn measure(
+        trace: &SessionTrace,
+        tick: Ticks,
+        idx: usize,
+        scale: TickScale,
+        scratch: &mut SweepScratch,
+    ) -> Self {
+        let m = trace.sweep_scalars(scratch);
+        let end = m.playback_end;
         Self {
             tick: tick.0,
             idx,
             end_tick: (Ticks::ZERO + scale.duration_from_minutes(end)).0,
             latency: trace.startup_latency().value(),
-            peak_buffer: trace.peak_buffer().value(),
-            total_received: trace.total_received().value(),
+            peak_buffer: m.peak_buffer.value(),
+            total_received: m.total_received.value(),
             delivered: end.value() - trace.playback_start.value(),
-            max_streams: trace.max_concurrent_receptions(),
+            max_streams: m.max_concurrent_receptions,
         }
     }
 }

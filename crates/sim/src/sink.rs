@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use vod_units::{Mbits, Minutes};
 
 use crate::faults::StallReport;
-use crate::trace::SessionTrace;
+use crate::trace::{SessionTrace, SweepScratch};
 
 /// Consumes finished session traces one at a time, in arrival order.
 ///
@@ -116,6 +116,9 @@ pub struct StreamingFold {
     stall_minutes: f64,
     stalls: usize,
     truncated_sessions: usize,
+    /// Buffers [`TraceSink::accept`]'s one-pass measurement reuses; not
+    /// part of the fold's state (never frozen).
+    scratch: SweepScratch,
 }
 
 impl StreamingFold {
@@ -202,6 +205,7 @@ impl StreamingFold {
             stall_minutes: state.stall_minutes,
             stalls: state.stalls,
             truncated_sessions: state.truncated_sessions,
+            scratch: SweepScratch::default(),
         }
     }
 
@@ -276,12 +280,13 @@ pub struct FoldState {
 
 impl TraceSink for StreamingFold {
     fn accept(&mut self, trace: &SessionTrace) {
+        let m = trace.sweep_scalars(&mut self.scratch);
         self.fold_scalars(
             trace.startup_latency().value(),
-            trace.peak_buffer().value(),
-            trace.total_received().value(),
-            trace.playback_end().value() - trace.playback_start.value(),
-            trace.max_concurrent_receptions(),
+            m.peak_buffer.value(),
+            m.total_received.value(),
+            m.playback_end.value() - trace.playback_start.value(),
+            m.max_concurrent_receptions,
         );
     }
 

@@ -15,7 +15,10 @@
 //! into the same [`SystemSim`], because every model reduces its sessions
 //! to the common [`crate::trace::SessionTrace`].
 
-use sb_metrics::{IdLabels, Recorder};
+use sb_metrics::{
+    HistogramValue, IdLabels, MetricKind, MetricValue, Recorder, Registry, Snapshot,
+    DEFAULT_BUCKETS,
+};
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
@@ -26,7 +29,7 @@ use crate::engine::Engine;
 use crate::policy::PolicyError;
 use crate::shard::SessionScalars;
 use crate::sink::{StreamingFold, TraceSink};
-use crate::trace::ClientModel;
+use crate::trace::{ClientModel, SweepScratch};
 
 /// One viewer request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,6 +88,9 @@ pub(crate) struct CoreState {
     pub(crate) active: usize,
     pub(crate) peak_active: usize,
     pub(crate) delivered: f64,
+    /// The run's `sim_channel_busy_minutes` histograms. A checkpoint
+    /// carries them in its metrics snapshot, not in its `core` section.
+    pub(crate) busy: ChannelBusy,
     pub(crate) error: Option<PolicyError>,
 }
 
@@ -101,19 +107,114 @@ impl CoreState {
             active: 0,
             peak_active: 0,
             delivered: 0.0,
+            busy: ChannelBusy::default(),
             error: None,
         }
     }
 }
 
+/// The metric family [`ChannelBusy`] accumulates.
+const CHANNEL_BUSY: &str = "sim_channel_busy_minutes";
+
+/// The run's `sim_channel_busy_minutes{channel}` series as one dense
+/// histogram per channel id, so a reception costs one indexed
+/// [`HistogramValue::observe`] instead of a registry lookup by label.
+/// Observed in session order, each histogram holds the very counts and
+/// float sum the registry would; [`finish_core`] hands them to the
+/// recorder once, through [`Recorder::merge_histogram`]. Slots are
+/// boxed: 8 bytes per untouched channel instead of 64, which keeps a
+/// receive-all run (5,120 channels on perfbench's `hb-receive-all`) at
+/// the registry path's peak RSS.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChannelBusy {
+    hists: Vec<Option<Box<HistogramValue>>>,
+}
+
+impl ChannelBusy {
+    fn observe(&mut self, channel: usize, minutes: f64) {
+        if channel >= self.hists.len() {
+            self.hists.resize(channel + 1, None);
+        }
+        self.hists[channel]
+            .get_or_insert_with(|| Box::new(HistogramValue::new(&DEFAULT_BUCKETS)))
+            .observe(minutes);
+    }
+
+    /// Hand each touched channel's histogram to `rec`, in channel order.
+    fn record(self, channels: &IdLabels, rec: &mut dyn Recorder) {
+        for (id, h) in self.hists.into_iter().enumerate() {
+            if let Some(h) = h {
+                rec.merge_histogram(CHANNEL_BUSY, &[("channel", channels.get(id))], *h);
+            }
+        }
+    }
+
+    /// `reg`'s snapshot with these series in it — the snapshot an
+    /// observe-per-reception registry would hold at this point.
+    pub(crate) fn snapshot_with(&self, reg: &Registry, channels: &IdLabels) -> Snapshot {
+        let mut snap = reg.snapshot();
+        let mut busy = Registry::new();
+        self.clone().record(channels, &mut busy);
+        snap.merge(&busy.snapshot());
+        snap
+    }
+
+    /// Move the series out of a decoded checkpoint snapshot, the
+    /// inverse of [`ChannelBusy::snapshot_with`]. The bytes are
+    /// untrusted: a label that is not a channel of the run's plan in
+    /// canonical form, a repeated label, or a histogram whose shape is
+    /// not [`DEFAULT_BUCKETS`]' is an error, never a panic later.
+    pub(crate) fn take_from(snap: &mut Snapshot, channels: &IdLabels) -> Result<Self, String> {
+        let Some(pos) = snap.families.iter().position(|f| f.name == CHANNEL_BUSY) else {
+            return Ok(Self::default());
+        };
+        let family = snap.families.remove(pos);
+        if family.kind != MetricKind::Histogram {
+            return Err(format!("{CHANNEL_BUSY} is not a histogram family"));
+        }
+        let mut busy = Self {
+            hists: vec![None; channels.len()],
+        };
+        for s in family.series {
+            let id = s
+                .labels
+                .strip_prefix("channel=")
+                .and_then(|text| {
+                    let id = text.parse::<usize>().ok()?;
+                    (id < channels.len() && channels.get(id) == text).then_some(id)
+                })
+                .ok_or_else(|| format!("{CHANNEL_BUSY}{{{}}} names no channel", s.labels))?;
+            let MetricValue::Histogram(h) = s.value else {
+                return Err(format!("{CHANNEL_BUSY}{{{}}} is not a histogram", s.labels));
+            };
+            let counted = h.counts.iter().try_fold(0u64, |n, &c| n.checked_add(c));
+            if h.bounds != DEFAULT_BUCKETS
+                || h.counts.len() != DEFAULT_BUCKETS.len() + 1
+                || counted != Some(h.count)
+            {
+                return Err(format!(
+                    "{CHANNEL_BUSY}{{{}}} is not a default-bucket histogram",
+                    s.labels
+                ));
+            }
+            if busy.hists[id].replace(Box::new(h)).is_some() {
+                return Err(format!("{CHANNEL_BUSY}{{{}}} appears twice", s.labels));
+            }
+        }
+        Ok(busy)
+    }
+}
+
 /// What one run reads for every session besides the event itself: the
 /// plan index, the request slice, and the label tables its metric
-/// series are keyed by.
+/// series are keyed by — plus the scratch buffers every session's
+/// one-pass measurement reuses, so a warm run allocates none.
 pub(crate) struct RunCtx<'a> {
     index: PlanIndex<'a>,
     requests: &'a [Request],
     videos: IdLabels,
     channels: IdLabels,
+    scratch: SweepScratch,
 }
 
 impl<'a> RunCtx<'a> {
@@ -123,6 +224,7 @@ impl<'a> RunCtx<'a> {
             requests,
             videos: IdLabels::new(plan.num_videos()),
             channels: IdLabels::new(plan.channels.len()),
+            scratch: SweepScratch::default(),
         }
     }
 }
@@ -136,14 +238,17 @@ pub(crate) struct SessionOut<'o> {
     pub(crate) capture: Option<&'o mut Vec<SessionScalars>>,
 }
 
-/// Close out a run: emit the end-of-run metric events and fold the
+/// Close out a run: hand the per-channel busy histograms to the
+/// recorder, emit the end-of-run metric events and fold the
 /// accumulators into a [`SystemReport`] — the exact statements (and
 /// float order) of the historical `run_core` epilogue.
 pub(crate) fn finish_core(
     mut state: CoreState,
     stats: crate::engine::EngineStats,
+    ctx: &RunCtx<'_>,
     rec: &mut dyn Recorder,
 ) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
+    std::mem::take(&mut state.busy).record(&ctx.channels, rec);
     if let Some(e) = state.error {
         return Err(e);
     }
@@ -227,13 +332,13 @@ impl<'a> SystemSim<'a> {
     ) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
         let mut engine: Engine<Ev> = Engine::new();
         self.schedule_arrivals(&mut engine, requests);
-        let ctx = RunCtx::new(self.plan, requests);
+        let mut ctx = RunCtx::new(self.plan, requests);
         let mut state = CoreState::with_capacity(requests.len());
         engine.run(|eng, at, ev| {
-            self.handle_event(&mut state, eng, at, ev, &ctx, rec, &mut out);
+            self.handle_event(&mut state, eng, at, ev, &mut ctx, rec, &mut out);
         });
         let stats = engine.stats();
-        finish_core(state, stats, rec)
+        finish_core(state, stats, &ctx, rec)
     }
 
     /// Schedule every request's `Arrive` event, in slice order — the
@@ -262,7 +367,7 @@ impl<'a> SystemSim<'a> {
         eng: &mut Engine<Ev>,
         at: Ticks,
         ev: Ev,
-        ctx: &RunCtx<'_>,
+        ctx: &mut RunCtx<'_>,
         rec: &mut dyn Recorder,
         out: &mut SessionOut<'_>,
     ) -> bool {
@@ -277,7 +382,7 @@ impl<'a> SystemSim<'a> {
                     .session_indexed(&ctx.index, r.video, r.at, self.display_rate)
                 {
                     Ok(s) => {
-                        let sc = SessionScalars::measure(&s, at, pos, self.scale);
+                        let sc = SessionScalars::measure(&s, at, pos, self.scale, &mut ctx.scratch);
                         if let Some(sink) = out.sink.as_deref_mut() {
                             sink.accept(&s);
                         }
@@ -303,11 +408,7 @@ impl<'a> SystemSim<'a> {
                         rec.observe("sim_latency_minutes", vl, sc.latency);
                         rec.observe("sim_peak_buffer_mbits", vl, sc.peak_buffer);
                         for rx in &s.receptions {
-                            rec.observe(
-                                "sim_channel_busy_minutes",
-                                &[("channel", ctx.channels.get(rx.channel))],
-                                rx.duration.value(),
-                            );
+                            state.busy.observe(rx.channel, rx.duration.value());
                         }
                         if let Some(cap) = out.capture.as_deref_mut() {
                             cap.push(sc);
@@ -350,16 +451,23 @@ impl<'a> SystemSim<'a> {
     ) -> Result<CoreRunOut, crate::checkpoint::ShardCrash> {
         use crate::checkpoint::{encode_state, Probe, ShardCrash, Verdict};
         assert!(checkpoint_every > 0, "validated by the supervisor");
+        let mut ctx = RunCtx::new(self.plan, requests);
         let (mut engine, mut state, mut fold, mut scalars, mut reg, mut sessions_done) =
             match resume {
-                Some(cp) => (
-                    Engine::thaw(cp.frozen, agenda),
-                    cp.core,
-                    StreamingFold::thaw(cp.fold),
-                    cp.scalars,
-                    sb_metrics::Registry::from_snapshot(&cp.snapshot),
-                    cp.sessions_done,
-                ),
+                Some(mut cp) => {
+                    cp.core.busy = ChannelBusy::take_from(&mut cp.snapshot, &ctx.channels)
+                        .map_err(|what| {
+                            ShardCrash::Corrupt(crate::checkpoint::CheckpointError::Malformed(what))
+                        })?;
+                    (
+                        Engine::thaw(cp.frozen, agenda),
+                        cp.core,
+                        StreamingFold::thaw(cp.fold),
+                        cp.scalars,
+                        Registry::from_snapshot(&cp.snapshot),
+                        cp.sessions_done,
+                    )
+                }
                 None => {
                     let mut engine: Engine<Ev> = Engine::with_agenda(agenda);
                     self.schedule_arrivals(&mut engine, requests);
@@ -368,12 +476,11 @@ impl<'a> SystemSim<'a> {
                         CoreState::with_capacity(requests.len()),
                         StreamingFold::with_capacity(requests.len()),
                         Vec::with_capacity(requests.len()),
-                        sb_metrics::Registry::new(),
+                        Registry::new(),
                         0u64,
                     )
                 }
             };
-        let ctx = RunCtx::new(self.plan, requests);
         let mut checkpoints_taken = 0u64;
         while let Some((at, ev)) = engine.next() {
             if let Verdict::Kill = probe(Probe::Event { tick: at.0 }) {
@@ -384,8 +491,15 @@ impl<'a> SystemSim<'a> {
                 sink: None,
                 capture: Some(&mut scalars),
             };
-            let served =
-                self.handle_event(&mut state, &mut engine, at, ev, &ctx, &mut reg, &mut out);
+            let served = self.handle_event(
+                &mut state,
+                &mut engine,
+                at,
+                ev,
+                &mut ctx,
+                &mut reg,
+                &mut out,
+            );
             if let Some(e) = state.error.take() {
                 return Err(ShardCrash::Policy(e));
             }
@@ -397,7 +511,7 @@ impl<'a> SystemSim<'a> {
                         core: state.clone(),
                         fold: fold.freeze(),
                         scalars: scalars.clone(),
-                        snapshot: reg.snapshot(),
+                        snapshot: state.busy.snapshot_with(&reg, &ctx.channels),
                         sessions_done,
                     };
                     let encoded = encode_state(&cp);
@@ -413,7 +527,8 @@ impl<'a> SystemSim<'a> {
             }
         }
         let stats = engine.stats();
-        let (report, stats) = finish_core(state, stats, &mut reg).map_err(ShardCrash::Policy)?;
+        let (report, stats) =
+            finish_core(state, stats, &ctx, &mut reg).map_err(ShardCrash::Policy)?;
         drop(fold); // the merge re-replays the fold from the scalar stream
         Ok(CoreRunOut {
             report,

@@ -100,6 +100,93 @@ pub struct SessionTrace {
     pub receptions: Vec<Reception>,
 }
 
+/// Order of the buffer sweep's `(time, ±rate)` events: by time, then
+/// by rate change, both under `total_cmp` (ends before starts at one
+/// instant, since an end carries the negated rate).
+fn rate_event_cmp(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// `x` as an unsigned integer in [`f64::total_cmp`] order: a bijection,
+/// so sorting the integers sorts the floats, bit patterns included.
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_key`].
+fn from_total_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// A `(time, ±rate)` event as one integer whose order is
+/// [`rate_event_cmp`]'s.
+fn event_key(t: f64, dr: f64) -> u128 {
+    u128::from(total_key(t)) << 64 | u128::from(total_key(dr))
+}
+
+/// The event time of an [`event_key`].
+fn key_time(key: u128) -> f64 {
+    from_total_key((key >> 64) as u64)
+}
+
+/// The event an [`event_key`] encodes.
+fn key_event(key: u128) -> (f64, f64) {
+    (key_time(key), from_total_key(key as u64))
+}
+
+/// The merge of the sorted event keys `starts` and `ends`: the
+/// sequence one sort of their union yields (equal keys are equal
+/// events).
+fn merge_events<'a>(starts: &'a [u128], ends: &'a [u128]) -> impl Iterator<Item = u128> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || match (starts.get(i), ends.get(j)) {
+        (Some(&s), Some(&e)) if e > s => {
+            i += 1;
+            Some(s)
+        }
+        (_, Some(&e)) => {
+            j += 1;
+            Some(e)
+        }
+        (s, None) => {
+            i += 1;
+            s.copied()
+        }
+    })
+}
+
+/// Reusable buffers for [`SessionTrace::sweep_scalars`]: the sorted
+/// start and end event keys of the last trace measured. Holds no state
+/// between calls, only capacity.
+#[derive(Debug, Clone, Default)]
+pub struct SweepScratch {
+    starts: Vec<u128>,
+    ends: Vec<u128>,
+}
+
+/// What [`SessionTrace::sweep_scalars`] measures: the values of four
+/// separate [`SessionTrace`] functions, bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceScalars {
+    /// [`SessionTrace::playback_end`].
+    pub playback_end: Minutes,
+    /// [`SessionTrace::peak_buffer`].
+    pub peak_buffer: Mbits,
+    /// [`SessionTrace::total_received`].
+    pub total_received: Mbits,
+    /// [`SessionTrace::max_concurrent_receptions`].
+    pub max_concurrent_receptions: usize,
+}
+
 impl SessionTrace {
     /// Playback duration of segment `i`.
     #[must_use]
@@ -268,7 +355,7 @@ impl SessionTrace {
 
     /// Hand each vertex of [`SessionTrace::buffer_profile`] to `visit`,
     /// in time order, without materializing the curve.
-    fn sweep_buffer(&self, mut visit: impl FnMut(Minutes, Mbits)) {
+    fn sweep_buffer(&self, visit: impl FnMut(Minutes, Mbits)) {
         let play_start = self.playback_start.value();
         let play_end = self.playback_end().value();
         let mut points: Vec<f64> = vec![play_start, play_end];
@@ -279,33 +366,46 @@ impl SessionTrace {
         points.sort_by(f64::total_cmp);
         points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
-        // One sweep over rate-change events instead of re-integrating every
-        // reception at every breakpoint: the aggregate receive rate is
-        // piecewise constant, so `received` advances by `rate · Δt` between
-        // consecutive event/breakpoint times.
         let mut events: Vec<(f64, f64)> = Vec::with_capacity(self.receptions.len() * 2);
         for rec in &self.receptions {
             let r = rec.rate.value() * 60.0; // Mbits per minute
             events.push((rec.start.value(), r));
             events.push((rec.end().value(), -r));
         }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        events.sort_by(rate_event_cmp);
+        self.sweep_sorted(play_start, play_end, points, events, visit);
+    }
 
+    /// The buffer sweep over prepared breakpoints: `points` yields the
+    /// deduplicated vertex times in `total_cmp` order, `events` the
+    /// `(time, ±rate)` changes in [`rate_event_cmp`] order.
+    ///
+    /// One sweep over rate-change events instead of re-integrating every
+    /// reception at every breakpoint: the aggregate receive rate is
+    /// piecewise constant, so `received` advances by `rate · Δt` between
+    /// consecutive event/breakpoint times.
+    fn sweep_sorted(
+        &self,
+        play_start: f64,
+        play_end: f64,
+        points: impl IntoIterator<Item = f64>,
+        events: impl IntoIterator<Item = (f64, f64)>,
+        mut visit: impl FnMut(Minutes, Mbits),
+    ) {
+        let mut points = points.into_iter().peekable();
+        let mut events = events.into_iter().peekable();
         let total: f64 = self.segment_sizes.iter().map(|s| s.value()).sum();
         let mut received = 0.0f64;
         let mut rate = 0.0f64;
-        let mut cursor = points.first().copied().unwrap_or(0.0);
-        let mut next_event = 0usize;
-        for &t in &points {
-            while next_event < events.len() && events[next_event].0 <= t {
-                let (et, dr) = events[next_event];
+        let mut cursor = points.peek().copied().unwrap_or(0.0);
+        for t in points {
+            while let Some((et, dr)) = events.next_if(|e| e.0 <= t) {
                 let et = et.max(cursor);
                 if et > cursor {
                     received += rate * (et - cursor);
                     cursor = et;
                 }
                 rate += dr;
-                next_event += 1;
             }
             if t > cursor {
                 received += rate * (t - cursor);
@@ -314,6 +414,94 @@ impl SessionTrace {
             let played = (t - play_start).clamp(0.0, play_end - play_start);
             let consumed = (self.display_rate.value() * played * 60.0).min(total);
             visit(Minutes(t), Mbits((received - consumed).max(0.0)));
+        }
+    }
+
+    /// Playback end, peak buffer, total received and peak concurrent
+    /// receptions in one pass — bit for bit what
+    /// [`SessionTrace::playback_end`], [`SessionTrace::peak_buffer`],
+    /// [`SessionTrace::total_received`] and
+    /// [`SessionTrace::max_concurrent_receptions`] return.
+    ///
+    /// Those functions sort about `2R` elements three times for `R`
+    /// receptions. This pass sorts two `R`-element lists in `scratch`:
+    /// the starts keyed `(start, rate)` and the ends keyed
+    /// `(end, −rate)`, both under `total_cmp`, as integers that sort in
+    /// that order. Merging them on the fly yields the buffer sweep's
+    /// rate-event sequence, and merging that with the playback bounds
+    /// (deduplicated against the last kept point) its vertex list, both
+    /// in O(R). Equal keys are equal values, so the merges reproduce the
+    /// full sorts exactly. A two-pointer walk over the same lists gives
+    /// the concurrency peak.
+    ///
+    /// `scratch` keeps its capacity, so a caller that reuses it
+    /// allocates nothing once it has seen its largest trace.
+    #[must_use]
+    pub fn sweep_scalars(&self, scratch: &mut SweepScratch) -> TraceScalars {
+        let SweepScratch { starts, ends } = scratch;
+        starts.clear();
+        ends.clear();
+        for rec in &self.receptions {
+            let r = rec.rate.value() * 60.0; // Mbits per minute
+            starts.push(event_key(rec.start.value(), r));
+            ends.push(event_key(rec.end().value(), -r));
+        }
+        starts.sort_unstable();
+        ends.sort_unstable();
+        let (starts, ends) = (&starts[..], &ends[..]);
+
+        let play_start = self.playback_start.value();
+        let end = self.playback_end();
+        let play_end = end.value();
+        let mut bounds = if play_end.total_cmp(&play_start).is_lt() {
+            [play_end, play_start]
+        } else {
+            [play_start, play_end]
+        }
+        .into_iter()
+        .peekable();
+        let mut times = merge_events(starts, ends).map(key_time).peekable();
+        let mut last: Option<f64> = None;
+        let points = std::iter::from_fn(|| loop {
+            let t = match (times.peek(), bounds.peek()) {
+                (Some(t), Some(b)) if b.total_cmp(t).is_lt() => bounds.next(),
+                (Some(_), _) => times.next(),
+                (None, _) => bounds.next(),
+            }?;
+            if !last.is_some_and(|kept| (t - kept).abs() < 1e-12) {
+                last = Some(t);
+                return Some(t);
+            }
+        });
+
+        let mut peak = Mbits::ZERO;
+        self.sweep_sorted(
+            play_start,
+            play_end,
+            points,
+            merge_events(starts, ends).map(key_event),
+            |_, b| peak = peak.max(b),
+        );
+
+        // The ±1 sweep of `max_concurrent_receptions`: an end (shifted
+        // by −1e-9, which keeps the ends sorted) goes first on ties.
+        let (mut cur, mut max) = (0i64, 0i64);
+        let mut j = 0;
+        for &start in starts {
+            let start = key_time(start);
+            while j < ends.len() && key_time(ends[j]) - 1e-9 <= start {
+                cur -= 1;
+                j += 1;
+            }
+            cur += 1;
+            max = max.max(cur);
+        }
+
+        TraceScalars {
+            playback_end: end,
+            peak_buffer: peak,
+            total_received: self.total_received(),
+            max_concurrent_receptions: max as usize,
         }
     }
 

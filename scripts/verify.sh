@@ -26,18 +26,32 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p sb-sim -p sb-workload -p sb-batching -p sb-metrics -p sb-control \
     -p sb-resilience -p sb-analysis -p sb-cli -p sb-bench
 
-echo "==> perfbench correctness (the benchmark's own checks, seed 1, one second each)"
+echo "==> perfbench correctness and bytes (the benchmark's own checks, seed 1, one second each)"
 # Runs the repository benchmark briefly on three workloads; the last
 # stdout line of each run is its JSON report, which must say
-# "correct": true (byte-identity and conservation checks passed).
-for w in sb-grid hb-receive-all control-outage; do
-    last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$w" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)"
+# "correct": true (byte-identity and conservation checks passed). The
+# run-context line's `digests:` must equal the pinned seed-1 digests, so
+# "same bytes" is a gate, not a claim: a change that alters the
+# benchmark's bytes on purpose updates the pin here and says why in
+# CHANGES.md.
+pb_out="$(mktemp)"
+for pin in "sb-grid c75ac395c8791d9a" \
+    "hb-receive-all cdb6a24f53003ddb" \
+    "control-outage 145da084b5a136a5,1a2f695ac634abdf"; do
+    read -r w want <<<"$pin"
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 2>/dev/null >"$pb_out"
+    last="$(tail -n 1 "$pb_out")"
     case "$last" in
         *'"correct": true'*) ;;
         *) echo "perfbench $w is not correct: $last"; exit 1 ;;
     esac
+    got="$(sed -n 's/.*digests: //p' "$pb_out")"
+    if [ "$got" != "$want" ]; then
+        echo "perfbench $w digests are '$got', pinned '$want'"; exit 1
+    fi
 done
+rm -f "$pb_out"
 
 echo "==> popularity-shift smoke (static vs dynamic control)"
 cargo run -q -p sb-cli --bin sbcast -- control --horizon 300 --seeds 11 --threads 2
